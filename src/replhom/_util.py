@@ -17,8 +17,10 @@ def thread_cap() -> int:
 def pmap(fn, items):
     """Order-preserving map, fanned out over threads when the cap allows.
 
-    Workers only read shared caches or fill them with identical values, so
-    results and outputs stay deterministic.
+    Workers share the per-quiver sums and caches: they only read them or
+    fill them with equal values, and a sum that two workers race to build
+    is stored once (the first wins), so results and outputs stay
+    deterministic.
     """
     items = list(items)
     cap = thread_cap()

@@ -60,6 +60,7 @@ class ARQuiver:
         self.in_arrows = {}
         self.out_arrows = {}
         self._pd = {}
+        self._node_labels = {}
         self._slices = {}
         self._labels = None
         self._ind_a = None
@@ -518,14 +519,15 @@ class ARQuiver:
 
     def node_label(self, node) -> str:
         n = node if isinstance(node, Node) else self.nodes[node]
-        lay = L.loewy_series(n.module)
-        rows = []
-        for level in lay:
-            parts = []
-            for (v, l), mult in sorted(level.items()):
-                parts.extend([f"{v}{l}"] * mult)
-            rows.append(" ".join(parts))
-        return "/".join(rows) if rows else "0"
+        if n.idx not in self._node_labels:
+            rows = []
+            for level in L.loewy_series(n.module):
+                parts = []
+                for (v, l), mult in sorted(level.items()):
+                    parts.extend([f"{v}{l}"] * mult)
+                rows.append(" ".join(parts))
+            self._node_labels[n.idx] = "/".join(rows) if rows else "0"
+        return self._node_labels[n.idx]
 
     def node_table(self):
         labels = self.fundamental_domain_labels()

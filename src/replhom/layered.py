@@ -463,7 +463,11 @@ def socle_data(M: LayeredModule):
 # ---------------------------------------------------------------------------
 
 class LProjSum:
-    """Direct sum of P(x_i), with the layout needed for blockwise Nakayama."""
+    """Direct sum of P(x_i), with the layout needed for blockwise Nakayama.
+
+    Instances come from lproj_sum() and are shared per quiver and m: never
+    mutate them, their module or its matrices.
+    """
 
     def __init__(self, spec: ReplicationSpec, members):
         self.spec = spec
@@ -509,7 +513,11 @@ class LProjSum:
 
 
 class LInjSum:
-    """Direct sum of I(x_i), mirroring LProjSum."""
+    """Direct sum of I(x_i), mirroring LProjSum.
+
+    Instances come from linj_sum() and are shared per quiver and m: never
+    mutate them, their module or its matrices.
+    """
 
     def __init__(self, spec: ReplicationSpec, members):
         self.spec = spec
@@ -521,6 +529,18 @@ class LInjSum:
     def piece_offset(self, j, layer, vertex):
         return sum(self.components[k].layers[layer].dim[vertex]
                    for k in range(j))
+
+
+def lproj_sum(spec: ReplicationSpec, members) -> LProjSum:
+    """The LProjSum of the (vertex, level) tuple, built once per quiver."""
+    return repa.shared(spec.base, ("LP", spec.m, members),
+                       lambda: LProjSum(spec, members))
+
+
+def linj_sum(spec: ReplicationSpec, members) -> LInjSum:
+    """The LInjSum of the (vertex, level) tuple, built once per quiver."""
+    return repa.shared(spec.base, ("LI", spec.m, members),
+                       lambda: LInjSum(spec, members))
 
 
 def _assemble(src_mod: LayeredModule, tgt_mod: LayeredModule,
@@ -643,8 +663,8 @@ def nu_lproj_morphism(P: LProjSum, Q: LProjSum, f: LModMorphism):
     spec = P.spec
     q = spec.base
     m = spec.m
-    nuP = LInjSum(spec, P.members)
-    nuQ = LInjSum(spec, Q.members)
+    nuP = linj_sum(spec, P.members)
+    nuQ = linj_sum(spec, Q.members)
     contributions = []
     for (j, l, kind, coeffs) in lproj_blocks(P, Q, f):
         x, i = P.members[j]
@@ -722,8 +742,8 @@ def nu_inv_linj_morphism(I0: LInjSum, I1: LInjSum, g: LModMorphism):
     """Inverse Nakayama image of g between layered injective sums."""
     spec = I0.spec
     q = spec.base
-    P0 = LProjSum(spec, I0.members)
-    P1 = LProjSum(spec, I1.members)
+    P0 = lproj_sum(spec, I0.members)
+    P1 = lproj_sum(spec, I1.members)
     contributions = []
     for (j, l, kind, coeffs) in linj_blocks(I0, I1, g):
         x, i = I0.members[j]
@@ -748,7 +768,7 @@ def projective_cover_rep(M: LayeredModule):
     if M.is_zero():
         raise ZeroModule("cover of the zero module")
     gens = top_data(M)
-    P = LProjSum(M.spec, tuple((v, l) for l, v, _ in gens))
+    P = lproj_sum(M.spec, tuple((v, l) for l, v, _ in gens))
     epi = P.hom_to(M, [col for _, _, col in gens])
     if not epi.is_epi():
         raise ArithmeticError("projective cover failed to be surjective")
@@ -770,7 +790,7 @@ def injective_envelope_rep(M: LayeredModule):
                 for lam in repa._dual_functionals(s, M.layers[l].dim[x]):
                     members.append((x, l))
                     lams.append((x, l, lam))
-    I = LInjSum(M.spec, tuple(members))
+    I = linj_sum(M.spec, tuple(members))
     comps = []
     for j, (x, l, lam) in enumerate(lams):
         f_l = repa.functional_to_inj_morphism(M.layers[l], x, lam)
@@ -1074,7 +1094,7 @@ def dual_path_action(M: LayeredModule, l: int, qpath, x, y) -> QMatrix:
     pres = repa.minimal_presentation(layer)
     nd = nu_data(layer)
     n = layer.dim[y]
-    isum = repa.InjSum(M.quiver, pres.p0.vertices)
+    isum = repa.inj_sum(M.quiver, pres.p0.vertices)
     cols = []
     for r in range(n):
         e = [_ONE if k == r else _ZERO for k in range(n)]

@@ -154,19 +154,25 @@ def _rep_cache(q: Quiver):
     return cache
 
 
-def simple(q: Quiver, x) -> ARep:
-    key = ("S", x)
+def shared(q: Quiver, key, build):
+    """Value cached on q under key, built on a miss; the first stored wins."""
     cache = _rep_cache(q)
-    if key not in cache:
-        cache[key] = ARep(q, {x: 1})
-    return cache[key]
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache.setdefault(key, build())
+    return hit
+
+
+def simple(q: Quiver, x) -> ARep:
+    return shared(q, ("S", x), lambda: ARep(q, {x: 1}))
 
 
 class ProjSum:
     """Direct sum of indecomposable projectives P(x), one per listed vertex.
 
     Basis at vertex z: pairs (summand index j, path x_j -> z), ordered by j
-    then by the quiver's deterministic path order.
+    then by the quiver's deterministic path order.  Instances come from
+    proj_sum() and are shared per quiver: never mutate them or their rep.
     """
 
     def __init__(self, quiver: Quiver, vertices):
@@ -220,28 +226,22 @@ class ProjSum:
 
     def _preset_caches(self):
         rep = self.rep
-        empty = object.__new__(ProjSum)
-        empty.quiver = self.quiver
-        empty.vertices = ()
-        empty.basis = {z: [] for z in self.quiver.vertices}
-        empty.pos = {z: {} for z in self.quiver.vertices}
-        empty.rep = ARep(self.quiver, {})
-        empty.rep._cache["pres"] = None  # never used
-        zero = ARep(self.quiver, {})
-        d = AMorphism.zero(zero, rep)
+        empty = proj_sum(self.quiver, ()) if self.vertices else self
         # minimal presentation of a projective is itself
-        rep._cache["pres"] = Presentation(empty, self, d, AMorphism.identity(rep))
-        inj = InjSum(self.quiver, self.vertices)
-        ident = {v: QMatrix.identity(inj.rep.dim[v]) for v in self.quiver.vertices}
-        rep._cache["nu"] = NuData(inj.rep, inj,
-                                  AMorphism(inj.rep, inj.rep, ident), ident)
+        rep._cache["pres"] = Presentation(empty, self,
+                                          AMorphism.zero(empty.rep, rep),
+                                          AMorphism.identity(rep))
+        inj = inj_sum(self.quiver, self.vertices)
+        ident = AMorphism.identity(inj.rep)
+        rep._cache["nu"] = NuData(inj.rep, inj, ident, ident.mats)
 
 
 class InjSum:
     """Direct sum of indecomposable injectives I(x), one per listed vertex.
 
     Basis at vertex z: pairs (summand index j, path z -> x_j); the arrow
-    action is the transpose of path extension.
+    action is the transpose of path extension.  Instances come from
+    inj_sum() and are shared per quiver: never mutate them or their rep.
     """
 
     def __init__(self, quiver: Quiver, vertices):
@@ -271,30 +271,30 @@ class InjSum:
         self.rep = ARep(quiver, dims, mats)
 
 
+def proj_sum(q: Quiver, vertices) -> ProjSum:
+    """The ProjSum of the vertex tuple, built once per quiver."""
+    return shared(q, ("P", vertices), lambda: ProjSum(q, vertices))
+
+
+def inj_sum(q: Quiver, vertices) -> InjSum:
+    """The InjSum of the vertex tuple, built once per quiver."""
+    return shared(q, ("I", vertices), lambda: InjSum(q, vertices))
+
+
 def projective(q: Quiver, x) -> ARep:
-    key = ("P", x)
-    cache = _rep_cache(q)
-    if key not in cache:
-        cache[key] = (ProjSum(q, (x,)), None)
-    return cache[key][0].rep
+    return proj_sum(q, (x,)).rep
 
 
 def proj_sum_of(q: Quiver, x) -> ProjSum:
-    projective(q, x)
-    return _rep_cache(q)[("P", x)][0]
+    return proj_sum(q, (x,))
 
 
 def injective(q: Quiver, x) -> ARep:
-    key = ("I", x)
-    cache = _rep_cache(q)
-    if key not in cache:
-        cache[key] = InjSum(q, (x,))
-    return cache[key].rep
+    return inj_sum(q, (x,)).rep
 
 
 def inj_sum_of(q: Quiver, x) -> InjSum:
-    injective(q, x)
-    return _rep_cache(q)[("I", x)]
+    return inj_sum(q, (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ class Copresentation:
 
 def projective_cover_a(M: ARep):
     gens = top_generators(M)
-    P0 = ProjSum(M.quiver, tuple(v for v, _ in gens))
+    P0 = proj_sum(M.quiver, tuple(v for v, _ in gens))
     pi = P0.hom_to(M, [col for _, col in gens])
     if not pi.is_epi():
         raise ArithmeticError("projective cover failed to be surjective")
@@ -573,7 +573,7 @@ def injective_envelope_a(M: ARep):
             for lam in _dual_functionals(soc[x], M.dim[x]):
                 summands.append(x)
                 comps.append(functional_to_inj_morphism(M, x, lam))
-    I0 = InjSum(q, tuple(summands))
+    I0 = inj_sum(q, tuple(summands))
     mats = {}
     for z in q.vertices:
         rows = []
@@ -595,7 +595,7 @@ def injective_copresentation(M: ARep) -> Copresentation:
     I0, iota = injective_envelope_a(M)
     C, proj, _ = cokernel_of_morphism(iota)
     if C.is_zero():
-        I1 = InjSum(M.quiver, ())
+        I1 = inj_sum(M.quiver, ())
         qmap = AMorphism.zero(I0.rep, I1.rep)
     else:
         I1, iota2 = injective_envelope_a(C)
@@ -624,8 +624,8 @@ def nu_projsum_morphism(src: ProjSum, tgt: ProjSum, f: AMorphism) -> AMorphism:
     the dual of postcomposition by u between the injective sums.
     """
     q = src.quiver
-    nsrc = InjSum(q, src.vertices)
-    ntgt = InjSum(q, tgt.vertices)
+    nsrc = inj_sum(q, src.vertices)
+    ntgt = inj_sum(q, tgt.vertices)
     # coefficients per source summand: list of (tgt summand, path u, coeff)
     coeffs = [[] for _ in src.vertices]
     for j, x in enumerate(src.vertices):
@@ -656,8 +656,8 @@ def nu_projsum_morphism(src: ProjSum, tgt: ProjSum, f: AMorphism) -> AMorphism:
 def nu_inv_injsum_morphism(src: InjSum, tgt: InjSum, g: AMorphism) -> AMorphism:
     """Inverse Nakayama on a map between injective sums (read off at sockets)."""
     q = src.quiver
-    psrc = ProjSum(q, src.vertices)
-    ptgt = ProjSum(q, tgt.vertices)
+    psrc = proj_sum(q, src.vertices)
+    ptgt = proj_sum(q, tgt.vertices)
     coeffs = [[] for _ in src.vertices]
     for l, y in enumerate(tgt.vertices):
         ridx = tgt.pos[y][(l, ())]
@@ -683,8 +683,8 @@ def nu_data(M: ARep) -> NuData:
     if nd is not None:
         return nd
     pres = minimal_presentation(M)
-    nu_p0 = InjSum(M.quiver, pres.p0.vertices)
-    nu_p1 = InjSum(M.quiver, pres.p1.vertices)
+    nu_p0 = inj_sum(M.quiver, pres.p0.vertices)
+    nu_p1 = inj_sum(M.quiver, pres.p1.vertices)
     nud = nu_projsum_morphism(pres.p1, pres.p0, pres.d)
     # the nu image is the cokernel of nud, with chosen projection and section
     C, proj, sects = cokernel_of_morphism(
@@ -756,8 +756,8 @@ def direct_sum_areps(reps):
             for a, _, _ in q.arrows}
     D = ARep(q, dims, mats)
     pres_list = [minimal_presentation(r) for r in reps]
-    P0 = ProjSum(q, tuple(x for p in pres_list for x in p.p0.vertices))
-    P1 = ProjSum(q, tuple(x for p in pres_list for x in p.p1.vertices))
+    P0 = proj_sum(q, tuple(x for p in pres_list for x in p.p0.vertices))
+    P1 = proj_sum(q, tuple(x for p in pres_list for x in p.p1.vertices))
     d = AMorphism(P1.rep, P0.rep,
                   {v: QMatrix.block_diag([p.d.mats[v] for p in pres_list])
                    for v in q.vertices})
@@ -767,7 +767,7 @@ def direct_sum_areps(reps):
     D._cache["pres"] = Presentation(P1, P0, d, pi)
     nds = [nu_data(r) for r in reps]
     nuD, nu_injs, nu_projs = direct_sum_plain([nd.nuM for nd in nds])
-    nu_p0 = InjSum(q, P0.vertices)
+    nu_p0 = inj_sum(q, P0.vertices)
     proj = AMorphism(nu_p0.rep, nuD,
                      {v: QMatrix.block_diag([nd.proj.mats[v] for nd in nds])
                       for v in q.vertices})

@@ -41,7 +41,7 @@ class TiltingContext:
                             for site in self.proj_sites}
         self.proj_inj = [self.projectives[(x, i)] for x, i in self.proj_sites
                          if i >= 1]
-        self.regular = L.LProjSum(spec, self.proj_sites)
+        self.regular = L.lproj_sum(spec, tuple(self.proj_sites))
 
     # -- candidates -----------------------------------------------------------
 

@@ -67,6 +67,28 @@ def test_invalid_quiver_is_input_error(tmp_path, capsys):
     assert "CycleFound" in err
 
 
+def test_malformed_quiver_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "no_arrows.json"
+    bad.write_text(json.dumps({"vertices": ["a", "b"]}))
+    code, _, err = run(capsys, "ar-quiver", "--quiver", str(bad), "--m", "1",
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "QuiverError" in err
+
+
+def test_two_cycle_quiver_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "two_cycle.json"
+    bad.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "arrows": [{"id": "f", "src": "a", "tgt": "b"},
+                   {"id": "g", "src": "b", "tgt": "a"}],
+    }))
+    code, _, err = run(capsys, "ar-quiver", "--quiver", str(bad), "--m", "1",
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "CycleFound" in err
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "ar-quiver", "--quiver",
                        str(tmp_path / "none.json"), "--m", "1",

@@ -1,8 +1,9 @@
 import pytest
 
+from replhom.arquiver import ARQuiver
 from replhom.errors import InjectiveInput, ProjectiveInput, ZeroModule
 from replhom.linalg import QMatrix
-from replhom.quiver import ReplicationSpec
+from replhom.quiver import Quiver, ReplicationSpec
 from replhom import layered as L
 from replhom import repa
 
@@ -280,3 +281,50 @@ def test_layered_round_trip(sp, nodes_a2_m1):
     back = L.LayeredModule.from_dict(sp, d)
     assert back.dim_vector() == M.dim_vector()
     assert L.is_iso_rep(back, M)
+
+
+# -- shared sums of layered projectives and injectives ----------------------------------
+
+def test_layered_sums_are_shared(sp2):
+    members = (("b", 1), ("a", 0), ("b", 1))
+    P, I = L.lproj_sum(sp2, members), L.linj_sum(sp2, members)
+    assert L.lproj_sum(sp2, members) is P
+    assert L.linj_sum(sp2, members) is I
+    assert P.module.to_dict() == L.LProjSum(sp2, members).module.to_dict()
+    assert I.module.to_dict() == L.LInjSum(sp2, members).module.to_dict()
+    # the key carries m: the same base with another m gets its own sum
+    other = L.lproj_sum(ReplicationSpec(sp2.base, 1), (("b", 1),))
+    assert other.spec.m == 1
+    assert L.lproj_sum(sp2, (("b", 1),)).spec.m == 2
+
+
+def _sum_snapshot(value):
+    if isinstance(value, (repa.ProjSum, repa.InjSum)):
+        return value.rep.to_dict()
+    if isinstance(value, (L.LProjSum, L.LInjSum)):
+        return value.module.to_dict()
+    return None
+
+
+def _fresh_sum(q, key):
+    if key[0] == "P":
+        return repa.ProjSum(q, key[1])
+    if key[0] == "I":
+        return repa.InjSum(q, key[1])
+    spec = ReplicationSpec(q, key[1])
+    return (L.LProjSum if key[0] == "LP" else L.LInjSum)(spec, key[2])
+
+
+def test_shared_sums_are_never_mutated():
+    q = Quiver(["a", "b", "c"], [("x", "b", "a"), ("y", "c", "b")])
+    arq = ARQuiver(ReplicationSpec(q, 2))
+    cache = repa._rep_cache(q)
+    before = {k: _sum_snapshot(v) for k, v in cache.items()
+              if _sum_snapshot(v) is not None}
+    assert {k[0] for k in before} == {"P", "I", "LP", "LI"}
+    arq.check_commutation()
+    for key, snap in before.items():
+        assert _sum_snapshot(cache[key]) == snap
+    for key, value in cache.items():
+        if _sum_snapshot(value) is not None:
+            assert _sum_snapshot(value) == _sum_snapshot(_fresh_sum(q, key))

@@ -270,3 +270,48 @@ def test_arep_round_trip(a2):
     assert back.dim == M.dim
     assert back.mats["beta"] == M.mats["beta"]
     assert d["mats"]["beta"] == [["1/2"], ["-3"]]
+
+
+# -- shared projective and injective sums ------------------------------------------------
+
+def test_proj_and_inj_sums_are_shared(a3):
+    for vs in [(), ("a",), ("c", "a", "c")]:
+        P, I = repa.proj_sum(a3, vs), repa.inj_sum(a3, vs)
+        assert repa.proj_sum(a3, vs) is P
+        assert repa.inj_sum(a3, vs) is I
+        assert P.rep.to_dict() == repa.ProjSum(a3, vs).rep.to_dict()
+        assert I.rep.to_dict() == repa.InjSum(a3, vs).rep.to_dict()
+    assert projective(a3, "b") is repa.proj_sum(a3, ("b",)).rep
+    assert injective(a3, "b") is repa.inj_sum(a3, ("b",)).rep
+
+
+def test_presentation_of_projective_sum_is_trivial(a3):
+    P = repa.proj_sum(a3, ("b", "a"))
+    pres = repa.minimal_presentation(P.rep)
+    assert pres.p0 is P and pres.p1 is repa.proj_sum(a3, ())
+    assert pres.pi.is_iso()
+    assert nu_module(P.rep) is repa.inj_sum(a3, ("b", "a")).rep
+
+
+def test_racing_callers_share_one_sum(a3):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    q = Quiver(a3.vertices, a3.arrows)   # a fresh, empty per-quiver cache
+    vs = ("c", "b", "a", "c")
+    start = threading.Barrier(8)
+
+    def build(_):
+        start.wait(timeout=30)
+        return repa.proj_sum(q, vs), repa.inj_sum(q, vs)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build, k) for k in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(p is repa.proj_sum(q, vs) for p, _ in results)
+    assert all(i is repa.inj_sum(q, vs) for _, i in results)
