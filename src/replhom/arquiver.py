@@ -50,11 +50,10 @@ _MAX_ORBIT = 4096
 class ARQuiver:
     """AR quiver of the m-replicated algebra of a Dynkin quiver."""
 
-    def __init__(self, spec: ReplicationSpec, seed=0):
+    def __init__(self, spec: ReplicationSpec):
         if dynkin_type(spec.base) in (None, "kronecker"):
             raise repa.NotSupported("AR quiver construction needs a Dynkin base")
         self.spec = spec
-        self.seed = seed
         self.nodes: list[Node] = []
         self._buckets = {}
         self.in_arrows = {}
@@ -68,24 +67,27 @@ class ARQuiver:
 
     # -- registry ------------------------------------------------------------
 
-    def _register(self, module) -> Node:
-        key = module.dim_vector()
-        bucket = self._buckets.setdefault(key, [])
-        for idx in bucket:
-            if L.is_iso_rep(self.nodes[idx].module, module, self.seed):
+    def _lookup(self, module):
+        """The node isomorphic to module, or None."""
+        for idx in self._buckets.get(module.dim_vector(), ()):
+            if L.is_iso_rep(self.nodes[idx].module, module):
                 return self.nodes[idx]
-        node = Node(len(self.nodes), module)
-        self.nodes.append(node)
-        bucket.append(node.idx)
+        return None
+
+    def _register(self, module) -> Node:
+        node = self._lookup(module)
+        if node is None:
+            node = Node(len(self.nodes), module)
+            self.nodes.append(node)
+            self._buckets.setdefault(module.dim_vector(), []).append(node.idx)
         return node
 
     def find_node(self, module) -> Node:
-        key = module.dim_vector()
-        for idx in self._buckets.get(key, ()):
-            if L.is_iso_rep(self.nodes[idx].module, module, self.seed):
-                return self.nodes[idx]
-        raise ClosureIncomplete(
-            "module missing from the tau-closure node set", witness=module)
+        node = self._lookup(module)
+        if node is None:
+            raise ClosureIncomplete(
+                "module missing from the tau-closure node set", witness=module)
+        return node
 
     # -- construction ----------------------------------------------------------
 
@@ -118,7 +120,7 @@ class ARQuiver:
             entries = []
             if not R.is_zero():
                 counts = {}
-                for s in L.decompose_rep(R, self.seed):
+                for s in L.decompose_rep(R):
                     snode = self.find_node(s)
                     counts[snode.idx] = counts.get(snode.idx, 0) + 1
                 entries = sorted(counts.items())
@@ -221,7 +223,7 @@ class ARQuiver:
             Q, _ = L.cokernel_rep(incl)
             counts = {}
             if not Q.is_zero():
-                for s in L.decompose_rep(Q, self.seed):
+                for s in L.decompose_rep(Q):
                     snode = self.find_node(s)
                     counts[snode.idx] = counts.get(snode.idx, 0) + 1
             if sorted(counts.items()) != self.out_arrows[node.idx]:
@@ -468,7 +470,7 @@ class ARQuiver:
             tc = L.tau_inv_rep(c)
             if tc.is_zero():
                 continue
-            if not L.is_iso_rep(ct, tc, self.seed):
+            if not L.is_iso_rep(ct, tc):
                 raise TheoremViolation(
                     "cosyzygy and inverse translate do not commute",
                     witness=node.module)
@@ -499,7 +501,7 @@ class ARQuiver:
             for _ in range(k_plus_1):
                 back.append(L.syzygy(back[-1]))
             for j in range(k_plus_1 + 1):
-                if not L.is_iso_rep(chain[j], back[k_plus_1 - j], self.seed):
+                if not L.is_iso_rep(chain[j], back[k_plus_1 - j]):
                     raise TheoremViolation(
                         "syzygy-cosyzygy duality failed along a "
                         "projective-injective coresolution",

@@ -3,7 +3,8 @@
 Subcommands: ar-quiver (emit DOT + JSON node table), tilt-check (verdict for
 a candidate module list), verify (run the theorem suites for one spec).
 Exit codes: 0 success, 1 theorem violation, 2 input error.  All outputs are
-byte-deterministic given the input file, seed and version.
+byte-deterministic given the input file and version.  The old --seed
+option is accepted and ignored, with a deprecation note on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import sys
 
 from . import layered as L
-from ._util import pmap
 from .errors import (ClosureIncomplete, NoComplementFound, NotSupported,
                      TheoremViolation, WindowViolation)
 from .linalg import NoSolution
@@ -40,9 +40,8 @@ def _parser():
                         help="JSON quiver file: vertices + arrows")
         sp.add_argument("--m", type=int, required=True,
                         help="replication degree (>= 1)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic pseudo-random "
-                             "splitting searches")
+        sp.add_argument("--seed", type=int, default=None,
+                        help=argparse.SUPPRESS)   # deprecated no-op
         if out:
             sp.add_argument("--out", required=True, help="output directory")
 
@@ -80,7 +79,7 @@ def _load_spec(args) -> ReplicationSpec:
 def cmd_ar_quiver(args) -> int:
     from .arquiver import ARQuiver
     spec = _load_spec(args)
-    arq = ARQuiver(spec, seed=args.seed)
+    arq = ARQuiver(spec)
     os.makedirs(args.out, exist_ok=True)
     written = []
     if args.format in ("dot", "both"):
@@ -121,20 +120,20 @@ def cmd_tilt_check(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise QuiverError(f"cannot read candidate file: {exc}") from exc
-    arq = ARQuiver(spec, seed=args.seed)
-    ctx = TiltingContext(spec, arq=arq, seed=args.seed)
+    arq = ARQuiver(spec)
+    ctx = TiltingContext(spec, arq=arq)
     mods = _resolve_candidate(spec, arq, doc)
     verdict = ctx.verdict(mods, want_complement=args.complement)
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _verify_dynkin(spec, seed):
+def _verify_dynkin(spec):
     from .arquiver import ARQuiver
     from .cluster import ClusterContext, verify_bijection
     from .tilting import TiltingContext
     report = {}
-    arq = ARQuiver(spec, seed=seed)
+    arq = ARQuiver(spec)
     report["nodes"] = len(arq.nodes)
 
     def run(name, fn):
@@ -155,9 +154,9 @@ def _verify_dynkin(spec, seed):
     report["fundamental_domain"] = "pass"
     report["fundamental_domain_size"] = expected
 
-    tctx = TiltingContext(spec, arq=arq, seed=seed)
-    cctx = ClusterContext(spec, seed=seed)
-    bij = verify_bijection(spec, arq=arq, tctx=tctx, cctx=cctx, seed=seed)
+    tctx = TiltingContext(spec, arq=arq)
+    cctx = ClusterContext(spec)
+    bij = verify_bijection(spec, arq=arq, tctx=tctx, cctx=cctx)
     if bij["violations"]:
         raise TheoremViolation(f"tilting bijection failed: "
                                f"{bij['violations'][0]}")
@@ -166,9 +165,9 @@ def _verify_dynkin(spec, seed):
     return report
 
 
-def _verify_kronecker(spec, bound, seed):
+def _verify_kronecker(spec, bound):
     from .tilting import TiltingContext, sample_faithful_exceptional
-    ctx = TiltingContext(spec, seed=seed)
+    ctx = TiltingContext(spec)
     report = {"kronecker_bound": bound}
     samples = sample_faithful_exceptional(ctx, bound, 20)
     if len(samples) < 20:
@@ -185,7 +184,7 @@ def _verify_kronecker(spec, bound, seed):
             raise TheoremViolation("complement exceeds pd bound")
         return len(comp)
 
-    sizes = pmap(check, samples)
+    sizes = [check(cand) for cand in samples]
     report["samples"] = len(samples)
     report["complement_summand_counts"] = sorted(set(sizes))
     report["complement_construction"] = "pass"
@@ -196,21 +195,21 @@ def _verify_kronecker(spec, bound, seed):
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
     if args.inject_fault == "tau-swap":
-        return _run_fault_injection(spec, args.seed)
+        return _run_fault_injection(spec)
     if args.kronecker_dim is not None:
-        report = _verify_kronecker(spec, args.kronecker_dim, args.seed)
+        report = _verify_kronecker(spec, args.kronecker_dim)
     else:
-        report = _verify_dynkin(spec, args.seed)
+        report = _verify_dynkin(spec)
     report["all"] = "pass"
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _run_fault_injection(spec, seed) -> int:
+def _run_fault_injection(spec) -> int:
     """Test hook: corrupt the translate pairing, expect the trichotomy check
     to catch the missing witness."""
     from .arquiver import ARQuiver
-    arq = ARQuiver(spec, seed=seed)
+    arq = ARQuiver(spec)
     victim = None
     for node in arq.nodes:
         if node.is_injective or node.tau_inv is None:
@@ -230,6 +229,9 @@ def _run_fault_injection(spec, seed) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.seed is not None:
+        print("replhom: --seed is deprecated and ignored; every result is "
+              "deterministic without it", file=sys.stderr)
     try:
         if args.command == "ar-quiver":
             return cmd_ar_quiver(args)

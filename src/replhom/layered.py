@@ -1000,68 +1000,54 @@ def tau_inv_rep(M: LayeredModule) -> LayeredModule:
 # decomposition / isomorphism
 # ---------------------------------------------------------------------------
 
-def _layered_hooks():
-    def end_basis(M):
-        return hom_basis_rep(M, M)
-
-    def compose_trace(f, g):
-        return total_trace(lcompose(f, g))
-
-    def vertex_blocks(f):
-        out = {}
-        for l, p in enumerate(f.parts):
-            for v, mat in p.mats.items():
-                out[(l, v)] = mat
-        return out
-
-    def power_split(M, power_blocks):
-        parts = []
-        for l in range(M.spec.m + 1):
-            mats = {v: power_blocks[(l, v)] for v in M.quiver.vertices}
-            parts.append(AMorphism(M.layers[l], M.layers[l], mats))
-        f = LModMorphism(M, M, parts)
-        K, _ = kernel_rep(f)
-        I, _ = image_rep(f)
-        return [K, I]
-
-    return repa.SplitHooks(end_basis, compose_trace, vertex_blocks, power_split)
+def compose_trace(g: LModMorphism, f: LModMorphism):
+    """Trace of g after f."""
+    return total_trace(lcompose(g, f))
 
 
-def decompose_rep(M: LayeredModule, seed=0):
+def _vertex_blocks(f):
+    out = {}
+    for l, p in enumerate(f.parts):
+        for v, mat in p.mats.items():
+            out[(l, v)] = mat
+    return out
+
+
+def _power_split(M, power_blocks):
+    parts = []
+    for l in range(M.spec.m + 1):
+        mats = {v: power_blocks[(l, v)] for v in M.quiver.vertices}
+        parts.append(AMorphism(M.layers[l], M.layers[l], mats))
+    f = LModMorphism(M, M, parts)
+    K, _ = kernel_rep(f)
+    I, _ = image_rep(f)
+    return [K, I]
+
+
+_HOOKS = repa.SplitHooks(lambda X, Y: hom_basis_rep(X, Y), compose_trace,
+                         _vertex_blocks, _power_split)
+
+
+def decompose_rep(M: LayeredModule):
     if M.is_zero():
         raise ZeroModule("decompose of the zero module")
-    return repa.generic_decompose(M, _layered_hooks(), M.total_dim(), seed)
+    return repa.generic_decompose(M, _HOOKS)
 
 
-def is_indecomposable_rep(M: LayeredModule, seed=0) -> bool:
+def is_indecomposable_rep(M: LayeredModule) -> bool:
     if M.is_zero():
         raise ZeroModule("zero module is not indecomposable")
-    return len(decompose_rep(M, seed)) == 1
+    return len(decompose_rep(M)) == 1
 
 
-def is_iso_rep(M: LayeredModule, N: LayeredModule, seed=0) -> bool:
-    if M.dim_vector() != N.dim_vector():
-        return False
-    if M.total_dim() == 0:
-        return True
-    basis = hom_basis_rep(M, N)
-    if not basis:
-        return False
-    for f in basis:
-        if f.is_iso():
-            return True
-    import random as _random
-    rng = _random.Random(seed)
-    for _ in range(20):
-        f = None
-        for b in basis:
-            c = rng.randint(-4, 4)
-            if c:
-                g = b.scale(c)
-                f = g if f is None else f.add(g)
-        if f is not None and f.is_iso():
-            return True
-    return False
+def is_iso_rep(M: LayeredModule, N: LayeredModule) -> bool:
+    """Whether M and N are isomorphic: exact for any inputs, decomposable
+    or not.
+
+    The rule (see repa.generic_is_iso): with equal dimension vectors, M and
+    N are isomorphic iff r(M, N)^2 = r(M, M) r(N, N), r being the rank of
+    the trace pairing (f, g) -> tr(g f) on Hom(M, N) x Hom(N, M)."""
+    return repa.generic_is_iso(M, N, _HOOKS)
 
 
 # ---------------------------------------------------------------------------

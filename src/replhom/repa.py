@@ -10,7 +10,6 @@ lets the replicated-algebra layer evaluate the functor blockwise.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -860,51 +859,68 @@ def rational_roots(coeffs):
     return sorted(roots)
 
 
-def _end_gram_rank(end, trace_of):
-    """Rank of the action-trace form on End(M): the dimension of the
-    semisimple quotient (faithful action, characteristic zero)."""
-    k = len(end)
-    G = QMatrix(k, k)
-    for i in range(k):
-        for j in range(k):
-            G.data[i][j] = trace_of(end[i], end[j])
-    return G.rank()
+def _gram_matrix(left, right, trace_of):
+    """Gram matrix G[i][j] = trace_of(left[i], right[j]) of a trace form.
+
+    On End(M) (left = right = a basis of it, trace_of(f, g) = tr(f g)) its
+    rank is the dimension of the semisimple quotient (faithful action,
+    characteristic zero); its kernel is rad End(M)."""
+    G = QMatrix(len(left), len(right))
+    for i, f in enumerate(left):
+        row = G.data[i]
+        for j, g in enumerate(right):
+            row[j] = trace_of(f, g)
+    return G
 
 
 class SplitHooks:
-    """Callbacks a module category supplies to the generic splitter."""
+    """Callbacks a module category supplies to the generic splitter and the
+    generic isomorphism test.  compose_trace(g, f) is the trace of g after
+    f; hom_basis(X, Y) must look up the category's Hom routine at call
+    time, so that a wrapper installed on that routine sees every call."""
 
-    def __init__(self, end_basis, compose_trace, vertex_blocks, power_split):
-        self.end_basis = end_basis
+    def __init__(self, hom_basis, compose_trace, vertex_blocks, power_split):
+        self.hom_basis = hom_basis
         self.compose_trace = compose_trace
         self.vertex_blocks = vertex_blocks
         self.power_split = power_split
 
 
-def generic_decompose(M, hooks: SplitHooks, total_dim, seed=0):
-    end = hooks.end_basis(M)
+_COMBOS = 24
+
+
+def _combo_coeffs(k, n):
+    """The k-th fixed combination (k = 1.._COMBOS) of n basis elements:
+    entry i is a(i + 1) + b i^2 modulo 7, shifted into [-3, 3], where
+    k = 7b + a.  Distinct k give distinct vectors once n >= 3."""
+    b, a = divmod(k, 7)
+    return [(a * (i + 1) + b * i * i) % 7 - 3 for i in range(n)]
+
+
+def _split_candidates(end, vertex_blocks):
+    """Vertex blocks of the endomorphisms the splitter tries: the basis
+    elements, then the _COMBOS fixed integer combinations of them."""
+    blocks = [vertex_blocks(e) for e in end]
+    yield from blocks
+    for k in range(1, _COMBOS + 1):
+        acc = None
+        for c, b in zip(_combo_coeffs(k, len(blocks)), blocks):
+            if c == 0:
+                continue
+            b = {key: m.scale(c) for key, m in b.items()}
+            acc = b if acc is None else {key: acc[key] + b[key] for key in acc}
+        if acc is not None:
+            yield acc
+
+
+def generic_decompose(M, hooks: SplitHooks):
+    end = hooks.hom_basis(M, M)
     if len(end) == 1:
         return [M]
-    if _end_gram_rank(end, hooks.compose_trace) == 1:
+    if _gram_matrix(end, end, hooks.compose_trace).rank() == 1:
         return [M]
-    rng = random.Random(seed)
-    candidates = list(end)
-    for _ in range(24):
-        coeffs = [rng.randint(-3, 3) for _ in end]
-        candidates.append(("combo", coeffs))
-    for cand in candidates:
-        if isinstance(cand, tuple) and cand[0] == "combo":
-            blocks = None
-            for c, e in zip(cand[1], end):
-                if c == 0:
-                    continue
-                b = {k: m.scale(c) for k, m in hooks.vertex_blocks(e).items()}
-                blocks = b if blocks is None else \
-                    {k: blocks[k] + b[k] for k in blocks}
-            if blocks is None:
-                continue
-        else:
-            blocks = hooks.vertex_blocks(cand)
+    total_dim = M.total_dim()
+    for blocks in _split_candidates(end, hooks.vertex_blocks):
         eigs = set()
         for m in blocks.values():
             if m.rows:
@@ -918,77 +934,83 @@ def generic_decompose(M, hooks: SplitHooks, total_dim, seed=0):
                 power = {k: power[k] * power[k] for k in power}
             kdim = sum(m.cols - m.rank() for m in power.values())
             if 0 < kdim < total_dim:
-                parts = hooks.power_split(M, power)
                 out = []
-                for p in parts:
-                    out.extend(generic_decompose(p, hooks,
-                                                 _part_dim(p), seed))
+                for p in hooks.power_split(M, power):
+                    out.extend(generic_decompose(p, hooks))
                 return out
     raise ArithmeticError("failed to split a module with non-local "
                           "endomorphism ring")
 
 
-def _part_dim(p):
-    return p.total_dim()
+def generic_is_iso(M, N, hooks: SplitHooks) -> bool:
+    """Whether M and N are isomorphic, decided exactly.
 
-
-def _a_hooks():
-    def end_basis(M):
-        return hom_basis(M, M)
-
-    def compose_trace(f, g):
-        return morphism_total_trace(compose(f, g))
-
-    def vertex_blocks(f):
-        return dict(f.mats)
-
-    def power_split(M, power_blocks):
-        f = AMorphism(M, M, power_blocks)
-        K, _ = kernel_of_morphism(f)
-        I, _ = image_of_morphism(f)
-        return [K, I]
-
-    return SplitHooks(end_basis, compose_trace, vertex_blocks, power_split)
-
-
-def decompose_a(M: ARep, seed=0):
-    """Indecomposable summands of M (Krull-Schmidt representatives)."""
-    if M.is_zero():
-        raise ZeroModule("decompose of the zero module")
-    return generic_decompose(M, _a_hooks(), M.total_dim(), seed)
-
-
-def is_indecomposable_a(M: ARep, seed=0) -> bool:
-    if M.is_zero():
-        raise ZeroModule("zero module is not indecomposable")
-    return len(decompose_a(M, seed)) == 1
-
-
-def is_iso_a(M: ARep, N: ARep, seed=0) -> bool:
-    if M.dim != N.dim:
+    After the shortcuts (dimension vectors, zero module, empty Hom(M, N), an
+    invertible basis element of Hom(M, N)) it compares ranks of trace
+    pairings: r(X, Y) is the rank of (f, g) -> tr(g f) on Hom(X, Y) x
+    Hom(Y, X).  Composites through radical morphisms are nilpotent, so
+    with M = sum X_i^a_i and N = sum X_i^b_i, r(M, N) = sum a_i b_i d_i
+    (d_i = dim End(X_i)/rad, the trace form being nondegenerate in
+    characteristic zero).  By Cauchy-Schwarz r(M, N)^2 = r(M, M) r(N, N)
+    iff a and b are proportional, and equal dimension vectors make them
+    equal.  For indecomposable M the rule says the pairing is nonzero.
+    """
+    if M.dim_vector() != N.dim_vector():
         return False
     if M.total_dim() == 0:
         return True
-    basis = hom_basis(M, N)
-    if not basis:
+    there = hooks.hom_basis(M, N)
+    if not there:
         return False
-    for f in basis:
-        if f.is_iso():
-            return True
-    rng = random.Random(seed)
-    for _ in range(20):
-        coeffs = [rng.randint(-4, 4) for _ in basis]
-        mats = None
-        for c, f in zip(coeffs, basis):
-            if c == 0:
-                continue
-            b = {v: f.mats[v].scale(c) for v in f.mats}
-            mats = b if mats is None else {v: mats[v] + b[v] for v in mats}
-        if mats is None:
-            continue
-        if all(m.is_invertible() for m in mats.values()):
-            return True
-    return False
+    if any(f.is_iso() for f in there):
+        return True
+    return _pairing_ranks_match(M, N, hooks)
+
+
+def _pairing_ranks_match(M, N, hooks: SplitHooks) -> bool:
+    """r(M, N)^2 == r(M, M) r(N, N) for nonzero M, N of equal dimension
+    vectors: the exact rule of generic_is_iso, without its shortcuts."""
+    def r(X, Y):
+        # rows g in Hom(Y, X), columns f in Hom(X, Y): tr(g f), and the
+        # transpose has the same rank
+        return _gram_matrix(hooks.hom_basis(Y, X), hooks.hom_basis(X, Y),
+                            hooks.compose_trace).rank()
+    return r(M, N) ** 2 == r(M, M) * r(N, N)
+
+
+def _a_power_split(M, power_blocks):
+    f = AMorphism(M, M, power_blocks)
+    K, _ = kernel_of_morphism(f)
+    I, _ = image_of_morphism(f)
+    return [K, I]
+
+
+_A_HOOKS = SplitHooks(lambda X, Y: hom_basis(X, Y),
+                      lambda g, f: morphism_total_trace(compose(g, f)),
+                      lambda f: dict(f.mats), _a_power_split)
+
+
+def decompose_a(M: ARep):
+    """Indecomposable summands of M (Krull-Schmidt representatives)."""
+    if M.is_zero():
+        raise ZeroModule("decompose of the zero module")
+    return generic_decompose(M, _A_HOOKS)
+
+
+def is_indecomposable_a(M: ARep) -> bool:
+    if M.is_zero():
+        raise ZeroModule("zero module is not indecomposable")
+    return len(decompose_a(M)) == 1
+
+
+def is_iso_a(M: ARep, N: ARep) -> bool:
+    """Whether M and N are isomorphic: exact for any inputs, decomposable
+    or not.
+
+    The rule (see generic_is_iso): with equal dimension vectors, M and N
+    are isomorphic iff r(M, N)^2 = r(M, M) r(N, N), r being the rank of
+    the trace pairing (f, g) -> tr(g f) on Hom(M, N) x Hom(N, M)."""
+    return generic_is_iso(M, N, _A_HOOKS)
 
 
 # ---------------------------------------------------------------------------

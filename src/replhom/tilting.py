@@ -30,9 +30,8 @@ def ext_horizon(spec: ReplicationSpec) -> int:
 class TiltingContext:
     """Shared data for tilting computations over one replication spec."""
 
-    def __init__(self, spec: ReplicationSpec, arq=None, seed=0):
+    def __init__(self, spec: ReplicationSpec, arq=None):
         self.spec = spec
-        self.seed = seed
         self.arq = arq
         q = spec.base
         self.proj_sites = [(x, i) for i in range(spec.m + 1)
@@ -49,7 +48,7 @@ class TiltingContext:
         """Deduplicate a summand list up to isomorphism (order-preserving)."""
         out = []
         for s in summands:
-            if not any(L.is_iso_rep(s, t, self.seed) for t in out):
+            if not any(L.is_iso_rep(s, t) for t in out):
                 out.append(s)
         return out
 
@@ -145,17 +144,14 @@ class TiltingContext:
         if check_agreement is None:
             check_agreement = self.is_exceptional(summands)
         if check_agreement:
-            by_summands = all(
-                any(L.is_iso_rep(p, s, self.seed) for s in summands)
-                for p in self.proj_inj)
-            if by_summands != by_annihilator:
+            if self.has_all_proj_inj(summands) != by_annihilator:
                 raise TheoremViolation(
                     "annihilator and projective-injective-summand "
                     "faithfulness criteria disagree")
         return by_annihilator
 
     def has_all_proj_inj(self, summands) -> bool:
-        return all(any(L.is_iso_rep(p, s, self.seed) for s in summands)
+        return all(any(L.is_iso_rep(p, s) for s in summands)
                    for p in self.proj_inj)
 
     # -- minimal left approximations -------------------------------------------
@@ -163,12 +159,7 @@ class TiltingContext:
     def _rad_end_basis(self, T):
         """Basis of rad End(T) for an indecomposable T (Gram-form kernel)."""
         end = L.hom_basis_rep(T, T)
-        k = len(end)
-        G = QMatrix(k, k)
-        for i in range(k):
-            for j in range(k):
-                G.data[i][j] = L.total_trace(L.lcompose(end[i], end[j]))
-        ker = G.kernel_basis()
+        ker = repa._gram_matrix(end, end, L.compose_trace).kernel_basis()
         out = []
         for c in range(ker.cols):
             vec = ker.col(c)
@@ -289,7 +280,7 @@ class TiltingContext:
 
     def _stall_witness(self, M, summands):
         """An indecomposable summand of M whose approximation is not mono."""
-        for s in L.decompose_rep(M, self.seed):
+        for s in L.decompose_rep(M):
             _, f = self.minimal_left_approximation(s, summands)
             if not f.is_mono():
                 return s
@@ -366,7 +357,7 @@ class TiltingContext:
                     raise TheoremViolation(
                         "complement fails Ext-vanishing against the input",
                         witness=X)
-        parts = L.decompose_rep(X, self.seed)
+        parts = L.decompose_rep(X)
         full = self.basic(summands + parts)
         if not self.is_tilting(full):
             raise NoComplementFound("constructed complement is not tilting")
@@ -380,8 +371,7 @@ class TiltingContext:
         pool = []
         for node in self.arq.nodes:
             if self.arq.pd(node.idx) <= self.spec.m:
-                if not any(L.is_iso_rep(node.module, s, self.seed)
-                           for s in summands):
+                if not any(L.is_iso_rep(node.module, s) for s in summands):
                     pool.append(node.module)
         need = n_rank - len(summands)
         if need < 0:

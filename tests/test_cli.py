@@ -153,13 +153,21 @@ def test_verify_fault_injection(a2_file, capsys):
     assert "witness" in detail
 
 
-def test_thread_cap_preserves_order(monkeypatch):
-    from replhom._util import pmap, thread_cap
-    monkeypatch.setenv("REPLHOM_THREADS", "4")
-    assert thread_cap() == 4
-    assert pmap(lambda x: x * x, range(20)) == [x * x for x in range(20)]
-    monkeypatch.setenv("REPLHOM_THREADS", "bogus")
-    assert thread_cap() == 1
+def test_seed_is_a_deprecated_no_op(a2_file, tmp_path, capsys):
+    outs = []
+    for name, extra in (("plain", ()), ("seeded", ("--seed", "5"))):
+        out = tmp_path / name
+        code, stdout, err = run(capsys, "ar-quiver", "--quiver", a2_file,
+                                "--m", "1", "--out", str(out), *extra)
+        assert code == 0
+        outs.append((stdout.replace(str(out), "OUT"),
+                     (out / "ar_quiver.dot").read_bytes(),
+                     (out / "ar_quiver.json").read_bytes()))
+        assert ("--seed is deprecated" in err) == bool(extra)
+    assert outs[0] == outs[1]
+    with pytest.raises(SystemExit):
+        main(["ar-quiver", "--help"])
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_verify_kronecker_smoke(tmp_path, capsys):

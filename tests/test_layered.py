@@ -283,6 +283,24 @@ def test_layered_round_trip(sp, nodes_a2_m1):
     assert L.is_iso_rep(back, M)
 
 
+def test_is_iso_rep_a15_semisimple(sp):
+    # the sum of the 30 simples of A_15 with m = 1: Hom(M, M) has no
+    # invertible basis element, so only the exact fallback can say yes
+    vs = [f"v{i}" for i in range(15)]
+    q = Quiver(vs, [(f"e{i}", vs[i + 1], vs[i]) for i in range(14)])
+    spec = ReplicationSpec(q, 1)
+    simples = [L.simple_rep(spec, v, l) for l in range(2) for v in vs]
+    M = L.layered_direct_sum(spec, simples)[0]
+    assert L.is_iso_rep(M, M)
+    assert L.is_iso_rep(M, L.layered_direct_sum(spec, simples[::-1])[0])
+    # equal dimension vectors, not isomorphic: P(b_0) against S(a_0) + S(b_0)
+    P = L.projective_rep(sp, "b", 0)
+    S = L.layered_direct_sum(sp, [L.simple_rep(sp, "a", 0),
+                                  L.simple_rep(sp, "b", 0)])[0]
+    assert P.dim_vector() == S.dim_vector()
+    assert not L.is_iso_rep(P, S)
+
+
 # -- shared sums of layered projectives and injectives ----------------------------------
 
 def test_layered_sums_are_shared(sp2):
