@@ -183,10 +183,6 @@ def lcompose(g: LModMorphism, f: LModMorphism) -> LModMorphism:
                         [compose(a, b) for a, b in zip(g.parts, f.parts)])
 
 
-def total_trace(f: LModMorphism):
-    return sum((repa.morphism_total_trace(p) for p in f.parts), _ZERO)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -1000,11 +996,6 @@ def tau_inv_rep(M: LayeredModule) -> LayeredModule:
 # decomposition / isomorphism
 # ---------------------------------------------------------------------------
 
-def compose_trace(g: LModMorphism, f: LModMorphism):
-    """Trace of g after f."""
-    return total_trace(lcompose(g, f))
-
-
 def _vertex_blocks(f):
     out = {}
     for l, p in enumerate(f.parts):
@@ -1024,14 +1015,16 @@ def _power_split(M, power_blocks):
     return [K, I]
 
 
-_HOOKS = repa.SplitHooks(lambda X, Y: hom_basis_rep(X, Y), compose_trace,
-                         _vertex_blocks, _power_split)
+# the layered hook set of the generic splitter, isomorphism test and Gram
+# helper; keyed blocks (layer, vertex), layer-major
+HOOKS = repa.SplitHooks(lambda X, Y: hom_basis_rep(X, Y), _vertex_blocks,
+                        _power_split)
 
 
 def decompose_rep(M: LayeredModule):
     if M.is_zero():
         raise ZeroModule("decompose of the zero module")
-    return repa.generic_decompose(M, _HOOKS)
+    return repa.generic_decompose(M, HOOKS)
 
 
 def is_indecomposable_rep(M: LayeredModule) -> bool:
@@ -1047,7 +1040,7 @@ def is_iso_rep(M: LayeredModule, N: LayeredModule) -> bool:
     The rule (see repa.generic_is_iso): with equal dimension vectors, M and
     N are isomorphic iff r(M, N)^2 = r(M, M) r(N, N), r being the rank of
     the trace pairing (f, g) -> tr(g f) on Hom(M, N) x Hom(N, M)."""
-    return repa.generic_is_iso(M, N, _HOOKS)
+    return repa.generic_is_iso(M, N, HOOKS)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class AMorphism:
     def __init__(self, src: ARep, tgt: ARep, mats):
         self.src = src
         self.tgt = tgt
-        self.mats = {v: mats.get(v, QMatrix.zeros(tgt.dim[v], src.dim[v]))
+        self.mats = {v: mats[v] if v in mats
+                     else QMatrix.zeros(tgt.dim[v], src.dim[v])
                      for v in src.quiver.vertices}
 
     @classmethod
@@ -136,10 +137,6 @@ def compose(g: AMorphism, f: AMorphism) -> AMorphism:
     if g.src.dim != f.tgt.dim:
         raise ValueError("composition mismatch")
     return AMorphism(f.src, g.tgt, {v: g.mats[v] * f.mats[v] for v in g.mats})
-
-
-def morphism_total_trace(f: AMorphism) -> Fraction:
-    return sum((f.mats[v].trace() for v in f.src.quiver.vertices), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -859,29 +856,64 @@ def rational_roots(coeffs):
     return sorted(roots)
 
 
-def _gram_matrix(left, right, trace_of):
-    """Gram matrix G[i][j] = trace_of(left[i], right[j]) of a trace form.
+def _gram_matrix(left, right, vertex_blocks):
+    """Gram matrix G[i][j] = tr(left[i] right[j]) of the trace form.
 
-    On End(M) (left = right = a basis of it, trace_of(f, g) = tr(f g)) its
-    rank is the dimension of the semisimple quotient (faithful action,
-    characteristic zero); its kernel is rad End(M)."""
+    The trace is read off the vertex blocks, never from a composite:
+    tr(g f) = sum over blocks of sum_ab g_ab f_ba.  Each left element is
+    flattened row-major and each right element transposed, once, and an
+    entry is a dot product over the left vector's nonzero entries.  Blocks
+    go in the insertion order of the first left element's dict; every
+    element must have the same keys and block shapes that pair.  Only when
+    left is right (a basis of End(M)) is just j >= i computed and mirrored,
+    as tr(f g) = tr(g f); for distinct lists every entry is computed.
+
+    On End(M) the rank is the dimension of the semisimple quotient
+    (faithful action, characteristic zero); its kernel is rad End(M)."""
     G = QMatrix(len(left), len(right))
-    for i, f in enumerate(left):
+    if not left or not right:
+        return G
+    shapes = {k: (m.rows, m.cols) for k, m in vertex_blocks(left[0]).items()}
+
+    def flat(f, transposed):
+        blocks = vertex_blocks(f)
+        if blocks.keys() != shapes.keys():
+            raise ValueError(f"vertex blocks {list(blocks)} do not pair "
+                             f"with {list(shapes)}")
+        out = []
+        for k, shape in shapes.items():
+            m = blocks[k]
+            if ((m.cols, m.rows) if transposed else (m.rows, m.cols)) != shape:
+                raise ValueError(f"vertex block {k!r} of shape "
+                                 f"{m.rows}x{m.cols} does not pair with "
+                                 f"{shape[0]}x{shape[1]}")
+            out.extend(x for line in (zip(*m.data) if transposed else m.data)
+                       for x in line)
+        return out
+
+    rows = [[(k, a) for k, a in enumerate(flat(g, False)) if a] for g in left]
+    cols = [flat(f, True) for f in right]
+    symmetric = right is left
+    for i, nonzero in enumerate(rows):
         row = G.data[i]
-        for j, g in enumerate(right):
-            row[j] = trace_of(f, g)
+        for j in range(i if symmetric else 0, len(cols)):
+            vec = cols[j]
+            row[j] = sum([a * vec[k] for k, a in nonzero], _ZERO)
+            if symmetric:
+                G.data[j][i] = row[j]
     return G
 
 
 class SplitHooks:
     """Callbacks a module category supplies to the generic splitter and the
-    generic isomorphism test.  compose_trace(g, f) is the trace of g after
-    f; hom_basis(X, Y) must look up the category's Hom routine at call
-    time, so that a wrapper installed on that routine sees every call."""
+    generic isomorphism test.  vertex_blocks(f) is the dict of f's matrices,
+    one per vertex (per layer and vertex for layered modules), in a fixed
+    order; _gram_matrix reads traces of composites off it.  hom_basis(X, Y)
+    must look up the category's Hom routine at call time, so that a wrapper
+    installed on that routine sees every call."""
 
-    def __init__(self, hom_basis, compose_trace, vertex_blocks, power_split):
+    def __init__(self, hom_basis, vertex_blocks, power_split):
         self.hom_basis = hom_basis
-        self.compose_trace = compose_trace
         self.vertex_blocks = vertex_blocks
         self.power_split = power_split
 
@@ -917,7 +949,7 @@ def generic_decompose(M, hooks: SplitHooks):
     end = hooks.hom_basis(M, M)
     if len(end) == 1:
         return [M]
-    if _gram_matrix(end, end, hooks.compose_trace).rank() == 1:
+    if _gram_matrix(end, end, hooks.vertex_blocks).rank() == 1:
         return [M]
     total_dim = M.total_dim()
     for blocks in _split_candidates(end, hooks.vertex_blocks):
@@ -974,7 +1006,7 @@ def _pairing_ranks_match(M, N, hooks: SplitHooks) -> bool:
         # rows g in Hom(Y, X), columns f in Hom(X, Y): tr(g f), and the
         # transpose has the same rank
         return _gram_matrix(hooks.hom_basis(Y, X), hooks.hom_basis(X, Y),
-                            hooks.compose_trace).rank()
+                            hooks.vertex_blocks).rank()
     return r(M, N) ** 2 == r(M, M) * r(N, N)
 
 
@@ -985,9 +1017,8 @@ def _a_power_split(M, power_blocks):
     return [K, I]
 
 
-_A_HOOKS = SplitHooks(lambda X, Y: hom_basis(X, Y),
-                      lambda g, f: morphism_total_trace(compose(g, f)),
-                      lambda f: dict(f.mats), _a_power_split)
+_A_HOOKS = SplitHooks(lambda X, Y: hom_basis(X, Y), lambda f: dict(f.mats),
+                      _a_power_split)
 
 
 def decompose_a(M: ARep):

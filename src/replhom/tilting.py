@@ -159,7 +159,8 @@ class TiltingContext:
     def _rad_end_basis(self, T):
         """Basis of rad End(T) for an indecomposable T (Gram-form kernel)."""
         end = L.hom_basis_rep(T, T)
-        ker = repa._gram_matrix(end, end, L.compose_trace).kernel_basis()
+        ker = repa._gram_matrix(end, end,
+                                L.HOOKS.vertex_blocks).kernel_basis()
         out = []
         for c in range(ker.cols):
             vec = ker.col(c)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from replhom.arquiver import ARQuiver
@@ -6,6 +8,7 @@ from replhom.linalg import QMatrix
 from replhom.quiver import Quiver, ReplicationSpec
 from replhom import layered as L
 from replhom import repa
+from replhom.tilting import TiltingContext, sample_faithful_exceptional
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +349,43 @@ def test_shared_sums_are_never_mutated():
     for key, value in cache.items():
         if _sum_snapshot(value) is not None:
             assert _sum_snapshot(value) == _sum_snapshot(_fresh_sum(q, key))
+
+
+# -- the Gram matrix of the trace pairing on layered modules -----------------
+
+def _layered_composite_trace(g, f):
+    h = L.lcompose(g, f)
+    return sum((m.trace() for p in h.parts for m in p.mats.values()),
+               Fraction(0))
+
+
+def _assert_gram(left, right):
+    G = repa._gram_matrix(left, right, L.HOOKS.vertex_blocks)
+    assert (G.rows, G.cols) == (len(left), len(right))
+    assert G.data == [[_layered_composite_trace(g, f) for f in right]
+                      for g in left]
+
+
+def _check_gram(mods):
+    for M in mods:
+        end = L.hom_basis_rep(M, M)
+        _assert_gram(end, end)          # mirrored fill
+        _assert_gram(end, list(end))    # full fill
+    for X in mods:
+        for Y in mods:
+            _assert_gram(L.hom_basis_rep(Y, X), L.hom_basis_rep(X, Y))
+
+
+def test_layered_gram_matrix_a3_m2(a3):
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    nodes = [n.module for n in arq.nodes]
+    picked = nodes[::4]
+    total = L.layered_direct_sum(arq.spec, picked[:3] + picked[:1])[0]
+    _check_gram(picked + [total])
+
+
+def test_layered_gram_matrix_kronecker_m1(kronecker):
+    ctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    sample = sample_faithful_exceptional(ctx, 6, 4)[-1]
+    total = L.layered_direct_sum(ctx.spec, sample)[0]
+    _check_gram(sample[:2] + [total])

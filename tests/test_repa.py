@@ -383,3 +383,64 @@ def test_racing_callers_share_one_sum(a3):
         sys.setswitchinterval(old)
     assert all(p is repa.proj_sum(q, vs) for p, _ in results)
     assert all(i is repa.inj_sum(q, vs) for _, i in results)
+
+
+def test_amorphism_keeps_supplied_matrices_and_zero_fills(a3):
+    M, N = projective(a3, "c"), projective(a3, "b")
+    given = {"a": QMatrix.identity(1), "b": QMatrix.identity(1)}
+    f = AMorphism(N, M, given)
+    assert f.mats["a"] is given["a"] and f.mats["b"] is given["b"]
+    missing = f.mats["c"]
+    assert (missing.rows, missing.cols) == (M.dim["c"], N.dim["c"])
+    assert missing.is_zero()
+    z = AMorphism.zero(M, N)
+    assert all((z.mats[v].rows, z.mats[v].cols) == (N.dim[v], M.dim[v])
+               and z.mats[v].is_zero() for v in a3.vertices)
+
+
+def _composite_trace(g, f):
+    h = compose(g, f)
+    return sum((m.trace() for m in h.mats.values()), Fraction(0))
+
+
+def _assert_gram(left, right):
+    """_gram_matrix(left, right) equals [tr(g f)] computed from composites."""
+    G = repa._gram_matrix(left, right, repa._A_HOOKS.vertex_blocks)
+    assert (G.rows, G.cols) == (len(left), len(right))
+    assert G.data == [[_composite_trace(g, f) for f in right] for g in left]
+    assert all(type(x) is Fraction for row in G.data for x in row)
+    return G
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "kronecker"])
+def test_gram_matrix_is_the_trace_pairing(name, request):
+    q = request.getfixturevalue(name)
+    pool = enumerate_ind(q, bound=4 if name == "kronecker" else None)
+    mods = pool[::max(1, len(pool) // 5)]
+    mods += [M for _, M, _ in _sums(pool, random.Random(3), 5)]
+    nonzero_off_diagonal = 0
+    for M in mods:
+        end = hom_basis(M, M)
+        G = _assert_gram(end, end)      # mirrored fill (left is right)
+        _assert_gram(end, list(end))    # full fill
+        nonzero_off_diagonal += any(G.data[i][j] for i in range(G.rows)
+                                    for j in range(G.cols) if i != j)
+    for X in mods:
+        for Y in mods:
+            _assert_gram(hom_basis(Y, X), hom_basis(X, Y))
+    assert nonzero_off_diagonal > 0
+
+
+def test_gram_matrix_rejects_mismatched_blocks(a2):
+    P, S = projective(a2, "b"), simple(a2, "a")
+    end = hom_basis(P, P)
+    other = end[0].scale(1)
+    # key sets differ
+    with pytest.raises(ValueError):
+        repa._gram_matrix(end, [other], lambda f: (
+            {"a": f.mats["a"]} if f is other else dict(f.mats)))
+    # Hom(S, P) x Hom(S, P): the blocks (1x1, 1x0) do not pair
+    there = hom_basis(S, P)
+    assert there
+    with pytest.raises(ValueError):
+        repa._gram_matrix(there, there, repa._A_HOOKS.vertex_blocks)
