@@ -1015,10 +1015,18 @@ def _power_split(M, power_blocks):
     return [K, I]
 
 
+def _release(X):
+    """Clear the caches of a split part and of its layers, all of which
+    layered_sub made for it alone."""
+    X._cache.clear()
+    for layer in X.layers:
+        layer._cache.clear()
+
+
 # the layered hook set of the generic splitter, isomorphism test and Gram
 # helper; keyed blocks (layer, vertex), layer-major
 HOOKS = repa.SplitHooks(lambda X, Y: hom_basis_rep(X, Y), _vertex_blocks,
-                        _power_split)
+                        _power_split, _release)
 
 
 def decompose_rep(M: LayeredModule):

@@ -33,32 +33,34 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _int_row(row):
+    """The row with denominators cleared and the content divided out."""
+    mult = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            mult = mult * d // gcd(mult, d)
+    if mult == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [int(x * mult) for x in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
 def _int_rows(data, width):
     """Clear denominators row by row; returns integer rows (kernel-safe).
 
     Row scaling preserves row space, kernel and rank, and is applied across
     any augmented columns the caller appended.
     """
-    out = []
-    for row in data:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
-        if mult == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [int(x * mult) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+    return [_int_row(row) for row in data]
 
 
 def _echelon(rows, ncols):
@@ -301,35 +303,46 @@ class QMatrix:
         rows = _int_rows(self.data, self.cols)
         return len(_echelon(rows, self.cols))
 
-    def kernel_basis(self) -> "QMatrix":
+    def kernel_basis(self, overwrite=False) -> "QMatrix":
         """Columns form a basis of the right null space {v : M v = 0}.
 
         Canonical form: for each free column f (in increasing order) the
         basis vector has a 1 at f, zeros at the other free columns, and
         back-substituted pivot entries.
+
+        With overwrite=True the elimination runs in this matrix's own rows,
+        each replaced by its integer form as it is read, so a large system
+        is never held twice; the matrix is left empty (0 x 0).
         """
         if self.cols == 0:
             return QMatrix(0, 0)
         if self.rows == 0:
             return QMatrix.identity(self.cols)
-        rows = _int_rows(self.data, self.cols)
-        pivots = _echelon(rows, self.cols)
+        ncols = self.cols
+        if overwrite:
+            rows = self.data
+            for i, row in enumerate(rows):
+                rows[i] = _int_row(row)
+            self.rows, self.cols, self.data = 0, 0, []
+        else:
+            rows = _int_rows(self.data, ncols)
+        pivots = _echelon(rows, ncols)
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
+        free = [c for c in range(ncols) if c not in pivset]
         cols = []
         for fc in free:
-            v = [_ZERO] * self.cols
+            v = [_ZERO] * ncols
             v[fc] = _ONE
             for i in range(len(pivots) - 1, -1, -1):
                 pc = pivots[i]
                 row = rows[i]
                 s = _ZERO
-                for j in range(pc + 1, self.cols):
+                for j in range(pc + 1, ncols):
                     if row[j] and v[j]:
                         s += Fraction(row[j]) * v[j]
                 v[pc] = -s / row[pc]
             cols.append(v)
-        return QMatrix.from_cols(cols, rows=self.cols)
+        return QMatrix.from_cols(cols, rows=ncols)
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix":
         """Solve M X = B for X; canonical solution with free variables 0.

@@ -201,18 +201,21 @@ class ProjSum:
 
     def hom_to(self, M: ARep, gen_cols) -> AMorphism:
         """The morphism sending the j-th generator to gen_cols[j] in M."""
-        vecs = {z: {} for z in self.quiver.vertices}
-
-        def walk(j, here, path, vec):
+        q = self.quiver
+        vecs = {z: {} for z in q.vertices}
+        # paths out of each generator, walked with an explicit stack: a
+        # recursive closure would be a reference cycle holding vecs until
+        # the cyclic collector runs
+        stack = [(j, x, (), [frac(c) for c in gen_cols[j]])
+                 for j, x in enumerate(self.vertices)]
+        while stack:
+            j, here, path, vec = stack.pop()
             if not any(vec):
-                return   # the whole subtree stays zero
+                continue   # the whole subtree stays zero
             vecs[here][(j, path)] = vec
-            for a in self.quiver.out_arrows[here]:
-                walk(j, self.quiver.arrow_tgt[a], path + (a,),
-                     M.mats[a].apply(vec))
-
-        for j, x in enumerate(self.vertices):
-            walk(j, x, (), [frac(c) for c in gen_cols[j]])
+            for a in q.out_arrows[here]:
+                stack.append((j, q.arrow_tgt[a], path + (a,),
+                              M.mats[a].apply(vec)))
         mats = {}
         for z in self.quiver.vertices:
             zero = [_ZERO] * M.dim[z]
@@ -309,26 +312,29 @@ def hom_basis(M: ARep, N: ARep):
     for v in q.vertices:
         offsets[v] = total
         total += N.dim[v] * M.dim[v]
-    rows = []
-    for a, s, t in q.arrows:
-        na, ma = N.mats[a], M.mats[a]
-        for i in range(N.dim[t]):
-            for jj in range(M.dim[s]):
-                row = [_ZERO] * total
-                for k in range(N.dim[s]):
-                    c = na.data[i][k]
-                    if c:
-                        row[offsets[s] + k * M.dim[s] + jj] += c
-                for l in range(M.dim[t]):
-                    c = ma.data[l][jj]
-                    if c:
-                        row[offsets[t] + i * M.dim[t] + l] -= c
-                rows.append(row)
     if total == 0:
         basis = []
     else:
-        system = QMatrix(len(rows), total, rows if rows else None)
-        ker = system.kernel_basis()
+        # on large modules this system is the biggest allocation of the
+        # library: it is filled in place and eliminated in its own rows
+        system = QMatrix(sum(N.dim[t] * M.dim[s] for _, s, t in q.arrows),
+                         total)
+        r = 0
+        for a, s, t in q.arrows:
+            na, ma = N.mats[a], M.mats[a]
+            for i in range(N.dim[t]):
+                for jj in range(M.dim[s]):
+                    row = system.data[r]
+                    r += 1
+                    for k in range(N.dim[s]):
+                        c = na.data[i][k]
+                        if c:
+                            row[offsets[s] + k * M.dim[s] + jj] += c
+                    for l in range(M.dim[t]):
+                        c = ma.data[l][jj]
+                        if c:
+                            row[offsets[t] + i * M.dim[t] + l] -= c
+        ker = system.kernel_basis(overwrite=True)
         basis = []
         for cidx in range(ker.cols):
             vec = ker.col(cidx)
@@ -910,12 +916,15 @@ class SplitHooks:
     one per vertex (per layer and vertex for layered modules), in a fixed
     order; _gram_matrix reads traces of composites off it.  hom_basis(X, Y)
     must look up the category's Hom routine at call time, so that a wrapper
-    installed on that routine sees every call."""
+    installed on that routine sees every call.  power_split(M, power) makes
+    new modules, and release(X) clears the caches of such a part once the
+    splitter drops it."""
 
-    def __init__(self, hom_basis, vertex_blocks, power_split):
+    def __init__(self, hom_basis, vertex_blocks, power_split, release):
         self.hom_basis = hom_basis
         self.vertex_blocks = vertex_blocks
         self.power_split = power_split
+        self.release = release
 
 
 _COMBOS = 24
@@ -945,12 +954,13 @@ def _split_candidates(end, vertex_blocks):
             yield acc
 
 
-def generic_decompose(M, hooks: SplitHooks):
+def _split(M, hooks: SplitHooks):
+    """The parts of one split of M, or None if M is indecomposable."""
     end = hooks.hom_basis(M, M)
     if len(end) == 1:
-        return [M]
+        return None
     if _gram_matrix(end, end, hooks.vertex_blocks).rank() == 1:
-        return [M]
+        return None
     total_dim = M.total_dim()
     for blocks in _split_candidates(end, hooks.vertex_blocks):
         eigs = set()
@@ -966,12 +976,30 @@ def generic_decompose(M, hooks: SplitHooks):
                 power = {k: power[k] * power[k] for k in power}
             kdim = sum(m.cols - m.rank() for m in power.values())
             if 0 < kdim < total_dim:
-                out = []
-                for p in hooks.power_split(M, power):
-                    out.extend(generic_decompose(p, hooks))
-                return out
+                return hooks.power_split(M, power)
     raise ArithmeticError("failed to split a module with non-local "
                           "endomorphism ring")
+
+
+def generic_decompose(M, hooks: SplitHooks):
+    """Indecomposable summands of M, depth first in split order.
+
+    A part that splits again is dropped, and hooks.release frees its
+    caches at once: its cached End basis refers back to it, so the part
+    would otherwise live on as a reference cycle until the cyclic
+    collector ran, and the End bases of a whole chain of splits would
+    pile up."""
+    out, todo = [], [M]
+    while todo:
+        X = todo.pop()
+        parts = _split(X, hooks)
+        if parts is None:
+            out.append(X)
+            continue
+        if X is not M:
+            hooks.release(X)
+        todo.extend(reversed(parts))
+    return out
 
 
 def generic_is_iso(M, N, hooks: SplitHooks) -> bool:
@@ -1018,7 +1046,7 @@ def _a_power_split(M, power_blocks):
 
 
 _A_HOOKS = SplitHooks(lambda X, Y: hom_basis(X, Y), lambda f: dict(f.mats),
-                      _a_power_split)
+                      _a_power_split, lambda X: X._cache.clear())
 
 
 def decompose_a(M: ARep):

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -389,3 +390,23 @@ def test_layered_gram_matrix_kronecker_m1(kronecker):
     sample = sample_faithful_exceptional(ctx, 6, 4)[-1]
     total = L.layered_direct_sum(ctx.spec, sample)[0]
     _check_gram(sample[:2] + [total])
+
+
+def test_layered_decompose_frees_its_split_parts(kronecker):
+    # the split parts and their layers all come from layered_sub; once a
+    # part splits again, it and its cached Hom bases must go at once
+    spec = ReplicationSpec(kronecker, 1)
+    R0, R1, _ = repa.kronecker_regulars(kronecker)
+    zero = repa.ARep(kronecker, {})
+    mods = [L.LayeredModule(spec, [R, zero], None) for R in (R0, R1, R0)]
+    X = L.layered_direct_sum(spec, mods)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        parts = L.decompose_rep(X)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(parts) == 3
+    assert sorted(L.is_iso_rep(p, mods[1]) for p in parts) == \
+        [False, False, True]

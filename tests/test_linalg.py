@@ -46,6 +46,22 @@ def test_kernel_rank_one():
     assert (m * k).is_zero()
 
 
+def test_kernel_overwrite_matches_and_empties_the_matrix():
+    rng = random.Random(3)
+    data = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(7)]
+            for _ in range(4)]
+    data[3] = [a + 2 * b for a, b in zip(data[0], data[1])]
+    kept = QMatrix(4, 7, data)
+    scratch = QMatrix(4, 7, data)
+    k = scratch.kernel_basis(overwrite=True)
+    assert k.data == kept.kernel_basis().data
+    assert k.cols == 4
+    assert (kept * k).is_zero()
+    assert (scratch.rows, scratch.cols, scratch.data) == (0, 0, [])
+    assert QMatrix(0, 3).kernel_basis(overwrite=True).data == \
+        QMatrix.identity(3).data
+
+
 def test_solve_identity():
     m = QMatrix.identity(3)
     b = [Fraction(5), Fraction(-1), Fraction(7, 2)]

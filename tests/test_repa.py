@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from functools import partial
@@ -192,6 +193,35 @@ def test_decompose_reassembles(a3):
         sorted(p.dim_vector() for p in picks)
     R, _, _ = direct_sum_plain(parts)
     assert is_iso_a(R, D)
+
+
+def _cyclic_garbage(run):
+    """Objects left unreachable only through reference cycles by run()."""
+    gc.collect()
+    gc.disable()
+    try:
+        kept = run()
+        return gc.collect(), kept
+    finally:
+        gc.enable()
+
+
+def test_decompose_frees_its_split_parts(kronecker):
+    # R0^3 + R1 splits three times; every dropped part and its cached End
+    # basis must go when it is dropped, not at the next cyclic collection
+    R0, R1, _ = repa.kronecker_regulars(kronecker)
+    M = direct_sum_plain([R0, R0, R1, R0])[0]
+    garbage, parts = _cyclic_garbage(lambda: decompose_a(M))
+    assert garbage == 0
+    assert sorted(p.dim_vector() for p in parts) == [(1, 1)] * 4
+
+
+def test_hom_to_leaves_no_cycle(kronecker):
+    P = repa.proj_sum(kronecker, ("a", "a", "b"))
+    R0 = repa.kronecker_regulars(kronecker)[0]
+    garbage, f = _cyclic_garbage(lambda: P.hom_to(R0, [[1], [0], [1]]))
+    assert garbage == 0
+    assert f.commutes()
 
 
 # -- isomorphism ---------------------------------------------------------------------
