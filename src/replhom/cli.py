@@ -17,8 +17,7 @@ import sys
 from . import layered as L
 from .errors import (ClosureIncomplete, NoComplementFound, NotSupported,
                      TheoremViolation, WindowViolation)
-from .linalg import NoSolution
-from .quiver import QuiverError, ReplicationSpec, load_quiver
+from .quiver import QuiverError, ReplicationSpec, dynkin_type, load_quiver
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -98,6 +97,8 @@ def cmd_ar_quiver(args) -> int:
 
 
 def _resolve_candidate(spec, arq, doc):
+    if not isinstance(doc, dict):
+        raise QuiverError("candidate file must hold a JSON object")
     if "summands" in doc:
         by_id = {f"n{n.idx}": n for n in arq.nodes}
         mods = []
@@ -107,7 +108,14 @@ def _resolve_candidate(spec, arq, doc):
             mods.append(by_id[ident].module)
         return mods
     if "modules" in doc:
-        return [L.LayeredModule.from_dict(spec, d) for d in doc["modules"]]
+        # a shape or glue that does not fit, or a missing field, is the
+        # file's fault: report it as such, not as an internal error
+        try:
+            return [L.LayeredModule.from_dict(spec, d)
+                    for d in doc["modules"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise QuiverError(f"malformed candidate module: "
+                              f"{type(exc).__name__}: {exc}") from exc
     raise QuiverError("candidate file needs a 'summands' or 'modules' key")
 
 
@@ -197,6 +205,9 @@ def cmd_verify(args) -> int:
     if args.inject_fault == "tau-swap":
         return _run_fault_injection(spec)
     if args.kronecker_dim is not None:
+        if dynkin_type(spec.base) != "kronecker":
+            raise NotSupported("--kronecker-dim needs the Kronecker quiver "
+                               "as base")
         report = _verify_kronecker(spec, args.kronecker_dim)
     else:
         report = _verify_dynkin(spec)
@@ -247,7 +258,7 @@ def main(argv=None) -> int:
             detail["witness"] = repr(witness)
         print(json.dumps(detail, sort_keys=True), file=sys.stderr)
         return EXIT_VIOLATION
-    except (QuiverError, NotSupported, NoSolution, OSError, ValueError) as exc:
+    except (QuiverError, NotSupported, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import repa
 from .errors import (IndexOutOfRange, InjectiveInput, ProjectiveInput,
                      ZeroModule)
-from .linalg import QMatrix
+from .linalg import QMatrix, span_basis
 from .quiver import ReplicationSpec
 from .repa import (AMorphism, ARep, compose, hom_basis, injective,
                    inj_sum_of, nu_data, nu_module, nu_morphism, projective,
@@ -274,7 +274,9 @@ def hom_basis_rep(M: LayeredModule, N: LayeredModule):
         return hit[1]
     m = M.spec.m
     layer_bases = [hom_basis(M.layers[l], N.layers[l]) for l in range(m + 1)]
-    nu_bases = [[nu_morphism(h) for h in lb] for lb in layer_bases]
+    # layer 0 meets the connectors only as a target: no Nakayama images
+    nu_bases = [None] + [[nu_morphism(h) for h in lb]
+                         for lb in layer_bases[1:]]
     offsets, total = [], 0
     for lb in layer_bases:
         offsets.append(total)
@@ -303,19 +305,92 @@ def hom_basis_rep(M: LayeredModule, N: LayeredModule):
     if total:
         system = QMatrix(len(rows), total, rows if rows else None)
         ker = system.kernel_basis()
-        for cidx in range(ker.cols):
-            vec = ker.col(cidx)
-            parts = []
-            for l in range(m + 1):
-                mor = None
-                for k, h in enumerate(layer_bases[l]):
-                    c = vec[offsets[l] + k]
-                    if c:
-                        hm = h.scale(c)
-                        mor = hm if mor is None else mor.add(hm)
-                parts.append(mor)
-            basis.append(LModMorphism(M, N, parts))
+        basis = _lmorphisms(M, N, layer_bases,
+                            [ker.col(c) for c in range(ker.cols)])
     cache[id(N)] = (N, basis)
+    return basis
+
+
+def _lmorphisms(M, N, layer_bases, vecs):
+    """Morphisms M -> N from vectors of coefficients on the layer bases,
+    concatenated layer by layer as in hom_basis_rep's system."""
+    out = []
+    for vec in vecs:
+        parts, base = [], 0
+        for lb in layer_bases:
+            mor = None
+            for k, h in enumerate(lb):
+                c = vec[base + k]
+                if c:
+                    hm = h.scale(c)
+                    mor = hm if mor is None else mor.add(hm)
+            parts.append(mor)
+            base += len(lb)
+        out.append(LModMorphism(M, N, parts))
+    return out
+
+
+def _free_position(h):
+    """(vertex, row, column) of the last nonzero entry of h, vertex blocks
+    in quiver order and row-major: the free position of a canonical Hom
+    basis element."""
+    for v in reversed(h.src.quiver.vertices):
+        data = h.mats[v].data
+        for i in range(len(data) - 1, -1, -1):
+            for j in range(len(data[i]) - 1, -1, -1):
+                if data[i][j]:
+                    return v, i, j
+    raise ValueError("zero morphism has no free position")
+
+
+def _row_times(vec, mat):
+    """The row vector vec times the matrix mat."""
+    out = [_ZERO] * mat.cols
+    for a, x in enumerate(vec):
+        if x:
+            for b, y in enumerate(mat.data[a]):
+                if y:
+                    out[b] += x * y
+    return out
+
+
+def _derive_end(M, end, X, incl, proj):
+    """End(X) for a direct summand X of M, derived from end, a basis of
+    End(M), and from M's layer End bases, and cached as hom_basis_rep(X, X)
+    would cache it; incl and proj hold the (layer, vertex) blocks of X's
+    inclusion and projection.
+
+    Each layer's End(X^l) is derived from End(M^l) (repa.derive_end_a).  A
+    canonical layer basis element has a 1 at its free position and zeros
+    at the others', so the coefficients of an endomorphism of X^l on that
+    basis are its entries at the free positions.  Those of proj e incl, e
+    running over End(M), span the coefficient space of End(X), which
+    span_basis reduces to hom_basis_rep's kernel basis."""
+    vertices = M.quiver.vertices
+    layer_bases, reads = [], []
+    for l, layer in enumerate(X.layers):
+        lb = repa.derive_end_a(
+            M.layers[l], hom_basis(M.layers[l], M.layers[l]), layer,
+            {v: incl[(l, v)] for v in vertices},
+            {v: proj[(l, v)] for v in vertices})
+        layer_bases.append(lb)
+        reads.extend((l,) + _free_position(h) for h in lb)
+    vecs = []
+    for e in end:
+        pe = {}
+        vec = []
+        for l, v, i, j in reads:
+            row = pe.get((l, v, i))
+            if row is None:
+                row = pe[(l, v, i)] = _row_times(proj[(l, v)].data[i],
+                                                 e.parts[l].mats[v])
+            col = incl[(l, v)].data
+            vec.append(sum([x * col[b][j] for b, x in enumerate(row) if x],
+                           _ZERO))
+        vecs.append(vec)
+    total = len(reads)
+    basis = _lmorphisms(X, X, layer_bases, span_basis(vecs, total))
+    X._cache.setdefault("hom", {})[id(X)] = (X, basis)
     return basis
 
 
@@ -1010,9 +1085,7 @@ def _power_split(M, power_blocks):
         mats = {v: power_blocks[(l, v)] for v in M.quiver.vertices}
         parts.append(AMorphism(M.layers[l], M.layers[l], mats))
     f = LModMorphism(M, M, parts)
-    K, _ = kernel_rep(f)
-    I, _ = image_rep(f)
-    return [K, I]
+    return [kernel_rep(f), image_rep(f)]
 
 
 def _release(X):
@@ -1026,7 +1099,7 @@ def _release(X):
 # the layered hook set of the generic splitter, isomorphism test and Gram
 # helper; keyed blocks (layer, vertex), layer-major
 HOOKS = repa.SplitHooks(lambda X, Y: hom_basis_rep(X, Y), _vertex_blocks,
-                        _power_split, _release)
+                        _power_split, _derive_end, _release)
 
 
 def decompose_rep(M: LayeredModule):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["QMatrix", "NoSolution", "frac"]
+__all__ = ["QMatrix", "NoSolution", "frac", "span_basis"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,6 +104,44 @@ def _echelon(rows, ncols):
         if r == nrows:
             break
     return pivots
+
+
+def span_basis(vectors, n):
+    """The basis QMatrix.kernel_basis gives for the span of vectors, as a
+    list of columns (each vector has length n).
+
+    That basis depends only on the space (see kernel_basis), so any system
+    with this null space would give the same columns.  The vectors are
+    eliminated pivoting from the last column backwards and fully reduced:
+    each basis column has its last nonzero entry, a 1, at a free position
+    and zeros at the others, in increasing order of free position.
+    """
+    rows = [_int_row(v)[::-1] for v in vectors if any(v)]
+    pivots = _echelon(rows, n)
+    # clear each pivot column above its row (below it is clear already),
+    # from the last pivot up: the row subtracted is then zero at every
+    # later pivot, so the columns cleared before stay clear
+    for i in range(len(pivots) - 1, 0, -1):
+        pc, prow = pivots[i], rows[i]
+        pv = prow[pc]
+        for k in range(i):
+            rk = rows[k]
+            f = rk[pc]
+            if f:
+                for j in range(pivots[k], n):
+                    rk[j] = rk[j] * pv - f * prow[j]
+                g = 0
+                for v in rk:
+                    g = gcd(g, v)
+                if g > 1:
+                    for j in range(n):
+                        rk[j] //= g
+    out = []
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        pv = row[pivots[i]]
+        out.append([Fraction(x, pv) if x else _ZERO for x in reversed(row)])
+    return out
 
 
 class QMatrix:
@@ -308,7 +346,12 @@ class QMatrix:
 
         Canonical form: for each free column f (in increasing order) the
         basis vector has a 1 at f, zeros at the other free columns, and
-        back-substituted pivot entries.
+        back-substituted pivot entries.  The basis depends only on the null
+        space, not on the system that cuts it out: a pivot entry depends
+        only on later entries, so the free columns are the positions where
+        null vectors can have their last nonzero entry, and the basis is
+        that space's unique echelon basis read from the last column
+        backwards (span_basis computes it from a spanning set).
 
         With overwrite=True the elimination runs in this matrix's own rows,
         each replaced by its integer form as it is read, so a large system

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InjectiveInput, NotSupported, ProjectiveInput, ZeroModule
-from .linalg import QMatrix, frac
+from .linalg import QMatrix, frac, span_basis
 from .quiver import Quiver, dynkin_type
 
 _ZERO = Fraction(0)
@@ -335,19 +335,46 @@ def hom_basis(M: ARep, N: ARep):
                         if c:
                             row[offsets[t] + i * M.dim[t] + l] -= c
         ker = system.kernel_basis(overwrite=True)
-        basis = []
-        for cidx in range(ker.cols):
-            vec = ker.col(cidx)
-            mats = {}
-            for v in q.vertices:
-                m = QMatrix.zeros(N.dim[v], M.dim[v])
-                base = offsets[v]
-                for i in range(N.dim[v]):
-                    for jj in range(M.dim[v]):
-                        m.data[i][jj] = vec[base + i * M.dim[v] + jj]
-                mats[v] = m
-            basis.append(AMorphism(M, N, mats))
+        basis = _morphisms(M, N, [ker.col(c) for c in range(ker.cols)])
     cache[id(N)] = (N, basis)
+    return basis
+
+
+def _morphisms(M: ARep, N: ARep, vecs):
+    """Morphisms M -> N from vectors in hom_basis's coordinates: the vertex
+    blocks in quiver order, each block row-major."""
+    out = []
+    for vec in vecs:
+        mats, base = {}, 0
+        for v in M.quiver.vertices:
+            cols = M.dim[v]
+            rows = [vec[base + i * cols:base + (i + 1) * cols]
+                    for i in range(N.dim[v])]
+            mats[v] = QMatrix(N.dim[v], cols, rows or None)
+            base += N.dim[v] * cols
+        out.append(AMorphism(M, N, mats))
+    return out
+
+
+def derive_end_a(M: ARep, end, X: ARep, incl, proj):
+    """End(X) for a direct summand X of M, derived from end, a basis of
+    End(M), and cached as hom_basis(X, X) would cache it.
+
+    incl and proj hold the vertex blocks of the inclusion X -> M and of the
+    projection M -> X along the other summands.  End(X) is spanned by
+    proj e incl over e in end; span_basis reduces that spanning set,
+    flattened in hom_basis's coordinates, to the very basis that hom_basis
+    solves for, since that basis depends only on the space."""
+    vecs = []
+    for e in end:
+        vec = []
+        for v in M.quiver.vertices:
+            for row in (proj[v] * e.mats[v] * incl[v]).data:
+                vec.extend(row)
+        vecs.append(vec)
+    n = sum(d * d for d in X.dim.values())
+    basis = _morphisms(X, X, span_basis(vecs, n))
+    X._cache.setdefault("hom", {})[id(X)] = (X, basis)
     return basis
 
 
@@ -917,13 +944,19 @@ class SplitHooks:
     order; _gram_matrix reads traces of composites off it.  hom_basis(X, Y)
     must look up the category's Hom routine at call time, so that a wrapper
     installed on that routine sees every call.  power_split(M, power) makes
-    new modules, and release(X) clears the caches of such a part once the
-    splitter drops it."""
+    new modules: it returns the (part, inclusion into M) pairs of a direct
+    sum decomposition of M.  derive_end(M, end, X, incl, proj) caches
+    End(X) of such a part, derived from end, M's End basis, through the
+    vertex blocks of X's inclusion and projection, exactly as
+    hom_basis(X, X) would solve it.  release(X) clears the caches of a
+    part once the splitter drops it."""
 
-    def __init__(self, hom_basis, vertex_blocks, power_split, release):
+    def __init__(self, hom_basis, vertex_blocks, power_split, derive_end,
+                 release):
         self.hom_basis = hom_basis
         self.vertex_blocks = vertex_blocks
         self.power_split = power_split
+        self.derive_end = derive_end
         self.release = release
 
 
@@ -976,9 +1009,31 @@ def _split(M, hooks: SplitHooks):
                 power = {k: power[k] * power[k] for k in power}
             kdim = sum(m.cols - m.rank() for m in power.values())
             if 0 < kdim < total_dim:
-                return hooks.power_split(M, power)
+                return _split_parts(M, end, hooks.power_split(M, power),
+                                    hooks)
     raise ArithmeticError("failed to split a module with non-local "
                           "endomorphism ring")
+
+
+def _split_parts(M, end, parts, hooks: SplitHooks):
+    """The parts of M's split, each with its End basis derived from end,
+    M's End basis.
+
+    M is the direct sum of the parts, so blockwise the inclusions side by
+    side form an invertible matrix, and the rows of its inverse are the
+    projections onto the parts along the others."""
+    incls = [hooks.vertex_blocks(incl) for _, incl in parts]
+    projs = [{} for _ in parts]
+    for key in incls[0]:
+        inv = QMatrix.hstack([incl[key] for incl in incls]).inverse()
+        row = 0
+        for incl, proj in zip(incls, projs):
+            n = incl[key].cols
+            proj[key] = QMatrix(n, inv.cols, inv.data[row:row + n])
+            row += n
+    for (X, _), incl, proj in zip(parts, incls, projs):
+        hooks.derive_end(M, end, X, incl, proj)
+    return [X for X, _ in parts]
 
 
 def generic_decompose(M, hooks: SplitHooks):
@@ -1040,13 +1095,12 @@ def _pairing_ranks_match(M, N, hooks: SplitHooks) -> bool:
 
 def _a_power_split(M, power_blocks):
     f = AMorphism(M, M, power_blocks)
-    K, _ = kernel_of_morphism(f)
-    I, _ = image_of_morphism(f)
-    return [K, I]
+    return [kernel_of_morphism(f), image_of_morphism(f)]
 
 
 _A_HOOKS = SplitHooks(lambda X, Y: hom_basis(X, Y), lambda f: dict(f.mats),
-                      _a_power_split, lambda X: X._cache.clear())
+                      _a_power_split, derive_end_a,
+                      lambda X: X._cache.clear())
 
 
 def decompose_a(M: ARep):

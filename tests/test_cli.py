@@ -182,3 +182,35 @@ def test_verify_kronecker_smoke(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--quiver", str(kron), "--m", "1",
                        "--kronecker-dim", "2")
     assert code == 1
+
+
+def test_malformed_candidate_module_is_input_error(a2_file, tmp_path,
+                                                   capsys):
+    # a 1x2 matrix on an arrow between one-dimensional spaces, and a module
+    # without layers: both are faults of the file
+    shape = {"layers": [{"dim": {"a": 1, "b": 1},
+                         "mats": {"beta": [["1", "0"]]}}, {"dim": {}}],
+             "connectors": [None, None]}
+    for module in (shape, {"connectors": [None, None]}):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"modules": [module]}))
+        code, _, err = run(capsys, "tilt-check", str(cand), "--quiver",
+                           a2_file, "--m", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "QuiverError"
+
+
+def test_internal_value_error_is_not_an_input_error(a2_file, monkeypatch):
+    def broken(spec):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr("replhom.cli._verify_dynkin", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["verify", "--quiver", a2_file, "--m", "1"])
+
+
+def test_kronecker_dim_needs_the_kronecker_quiver(a2_file, capsys):
+    code, _, err = run(capsys, "verify", "--quiver", a2_file, "--m", "1",
+                       "--kronecker-dim", "4")
+    assert code == 2
+    assert json.loads(err)["error"] == "NotSupported"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,40 @@ def test_hom_compatibility(sp, nodes_a2_m1):
         for N in mods[:4]:
             for f in L.hom_basis_rep(M, N):
                 assert f.compatible()
+
+
+def test_hom_basis_rep_takes_no_nakayama_image_of_layer_0(a3, monkeypatch):
+    # the connector constraints read Nakayama images of the layer >= 1
+    # bases only; every pair of A3 m = 2 indecomposables, on fresh copies
+    # so nothing is cached, keeps the basis pinned by its digest
+    calls = []
+    nu_morphism = L.nu_morphism
+
+    def counting(f):
+        calls.append(f)
+        return nu_morphism(f)
+
+    monkeypatch.setattr(L, "nu_morphism", counting)
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    mods = [n.module.to_dict() for n in arq.nodes]
+    digest = hashlib.sha256()
+    total = 0
+    for M in mods:
+        for N in mods:
+            X = L.LayeredModule.from_dict(arq.spec, M)
+            Y = L.LayeredModule.from_dict(arq.spec, N)
+            calls.clear()
+            basis = L.hom_basis_rep(X, Y)
+            layer_bases = [repa.hom_basis(X.layers[l], Y.layers[l])
+                           for l in range(3)]
+            assert [id(f) for f in calls] == \
+                [id(h) for lb in layer_bases[1:] for h in lb]
+            total += len(basis)
+            digest.update(repr([[p.mats[v].to_lists() for v in a3.vertices]
+                                for f in basis for p in f.parts]).encode())
+    assert total == 180
+    assert digest.hexdigest() == ("61cacf339f102a4776afa53d0902e5debc13f31c"
+                                  "8099d13e3fd4215d4e150aa9")
 
 
 # -- Ext ------------------------------------------------------------------------------

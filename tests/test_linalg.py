@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from replhom.linalg import NoSolution, QMatrix
+from replhom.linalg import NoSolution, QMatrix, span_basis
 
 
 def gauss_oracle(rows, ncols):
@@ -60,6 +60,37 @@ def test_kernel_overwrite_matches_and_empties_the_matrix():
     assert (scratch.rows, scratch.cols, scratch.data) == (0, 0, [])
     assert QMatrix(0, 3).kernel_basis(overwrite=True).data == \
         QMatrix.identity(3).data
+
+
+def test_span_basis_is_the_kernel_basis():
+    # a spanning set of the null space, shuffled, with rescaled basis
+    # vectors, combinations of them, repeats and a zero vector, reduces to
+    # exactly kernel_basis's columns
+    rng = random.Random(21)
+    cases = [QMatrix.identity(4), QMatrix.zeros(3, 5), QMatrix(0, 4),
+             QMatrix(2, 0)]
+    for _ in range(150):
+        r, c = rng.randint(1, 6), rng.randint(1, 8)
+        cases.append(QMatrix(r, c, [[rng.choice((0, 0, 1, -1, 2, -3))
+                                     for _ in range(c)] for _ in range(r)]))
+    shapes = set()
+    for m in cases:
+        ker = m.kernel_basis()
+        cols = [ker.col(j) for j in range(ker.cols)]
+        scales = [Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+                  for _ in cols]
+        vecs = [[c * x for x in v] for c, v in zip(scales, cols)]
+        for _ in range(2):
+            coeffs = [rng.randint(-2, 2) for _ in cols]
+            vecs.append([sum((c * v[i] for c, v in zip(coeffs, cols)),
+                             Fraction(0)) for i in range(m.cols)])
+        vecs.append([Fraction(0)] * m.cols)
+        vecs += rng.sample(vecs, 2)
+        rng.shuffle(vecs)
+        assert span_basis(vecs, m.cols) == cols
+        shapes.add((len(cols) == 0, len(cols) == m.cols))
+    assert shapes == {(True, False), (False, True), (False, False),
+                      (True, True)}
 
 
 def test_solve_identity():
