@@ -146,7 +146,9 @@ def compose(g: AMorphism, f: AMorphism) -> AMorphism:
 def _rep_cache(q: Quiver):
     cache = getattr(q, "_rep_cache", None)
     if cache is None:
-        cache = q._rep_cache = {}
+        # setdefault, not assignment: two racing first callers would each
+        # install a dict, and one would cache its sums in a lost one
+        cache = vars(q).setdefault("_rep_cache", {})
     return cache
 
 
