@@ -3,8 +3,7 @@
 Subcommands: ar-quiver (emit DOT + JSON node table), tilt-check (verdict for
 a candidate module list), verify (run the theorem suites for one spec).
 Exit codes: 0 success, 1 theorem violation, 2 input error.  All outputs are
-byte-deterministic given the input file and version.  The old --seed
-option is accepted and ignored, with a deprecation note on stderr.
+byte-deterministic given the input file and version.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ def _parser():
                         help="JSON quiver file: vertices + arrows")
         sp.add_argument("--m", type=int, required=True,
                         help="replication degree (>= 1)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=argparse.SUPPRESS)   # deprecated no-op
         if out:
             sp.add_argument("--out", required=True, help="output directory")
 
@@ -179,9 +176,9 @@ def _verify_kronecker(spec, bound):
     report = {"kronecker_bound": bound}
     samples = sample_faithful_exceptional(ctx, bound, 20)
     if len(samples) < 20:
-        raise TheoremViolation(
-            f"only {len(samples)} faithful exceptional samples within the "
-            f"bound; raise --kronecker-dim")
+        raise NotSupported(
+            f"--kronecker-dim {bound} admits only {len(samples)} faithful "
+            f"exceptional samples; the checks need 20")
 
     def check(cand):
         comp = ctx.bongartz_complement(cand)
@@ -240,9 +237,6 @@ def _run_fault_injection(spec) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None:
-        print("replhom: --seed is deprecated and ignored; every result is "
-              "deterministic without it", file=sys.stderr)
     try:
         if args.command == "ar-quiver":
             return cmd_ar_quiver(args)

@@ -11,12 +11,12 @@ are asserted to vanish at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from . import layered as L
 from . import repa
+from .arquiver import ARQuiver
 from .errors import TheoremViolation, WindowViolation
 from .quiver import ReplicationSpec, dynkin_type
+from .tilting import TiltingContext, compatible_sets
 
 
 @dataclass(frozen=True, order=True)
@@ -62,6 +62,7 @@ class ClusterContext:
                 self._tau_inv[k] = self._find(repa.tau_inv_a(M))
         self._hom = {}
         self._ext1 = {}
+        self._pairs = None
 
     def _find(self, M):
         for k, N in enumerate(self.ind):
@@ -171,39 +172,32 @@ class ClusterContext:
                 and self.is_exceptional_object(objs))
 
     def compatibility_pairs(self):
-        objs = self.objects()
-        table = {}
-        for a in range(len(objs)):
-            if not self.is_exceptional_object([objs[a]]):
-                raise WindowViolation(
-                    "an indecomposable object has a self-extension")
-            for b in range(a + 1, len(objs)):
-                table[(a, b)] = self.compatible(objs[a], objs[b])
-        return objs, table
+        """(objects, {(a, b): compatible} for a < b), built once."""
+        if self._pairs is None:
+            objs = self.objects()
+            table = {}
+            for a in range(len(objs)):
+                if not self.is_exceptional_object([objs[a]]):
+                    raise WindowViolation(
+                        "an indecomposable object has a self-extension")
+                for b in range(a + 1, len(objs)):
+                    table[(a, b)] = self.compatible(objs[a], objs[b])
+            self._pairs = objs, table
+        return self._pairs
+
+    def compatible_object_sets(self):
+        """Pairwise-compatible object tuples of every size 1..rank,
+        depth-first in lexicographic order."""
+        objs, table = self.compatibility_pairs()
+        for cand in compatible_sets(len(objs),
+                                    lambda a, b: a == b or table[(a, b)],
+                                    self.spec.base.n):
+            yield tuple(objs[c] for c in cand)
 
     def enumerate_tilting_objects(self):
         """All maximal pairwise-compatible sets (size = rank of the base)."""
-        objs, table = self.compatibility_pairs()
         n = self.spec.base.n
-        out = []
-
-        def ok(a, chosen):
-            return all(table[(min(a, c), max(a, c))] for c in chosen)
-
-        def search(start, chosen):
-            if len(chosen) == n:
-                out.append(tuple(objs[c] for c in chosen))
-                return
-            if len(chosen) + (len(objs) - start) < n:
-                return
-            for c in range(start, len(objs)):
-                if ok(c, chosen):
-                    chosen.append(c)
-                    search(c + 1, chosen)
-                    chosen.pop()
-
-        search(0, [])
-        return out
+        return [t for t in self.compatible_object_sets() if len(t) == n]
 
     def compatibility_dot(self) -> str:
         objs, table = self.compatibility_pairs()
@@ -235,55 +229,30 @@ def verify_bijection(spec: ReplicationSpec, arq=None, tctx=None, cctx=None):
     projection functor.  Also matches exceptional sets of every size up to
     the rank.  Returns a JSON-ready report; violations list is empty on
     success."""
-    from .arquiver import ARQuiver
-    from .tilting import TiltingContext
-
     arq = arq or ARQuiver(spec)
     tctx = tctx or TiltingContext(spec, arq=arq)
     cctx = cctx or ClusterContext(spec)
     n = spec.base.n
     m = spec.m
-    horizon = 2 * m + 1
 
     pool = arq.left_part_non_proj_inj()
-    mods = {i: arq.nodes[i].module for i in pool}
+    mods = [arq.nodes[i].module for i in pool]
 
-    def mod_compat(a, b):
-        return all(L.ext_dim(mods[a], mods[b], i) == 0 and
-                   L.ext_dim(mods[b], mods[a], i) == 0
-                   for i in range(1, horizon + 1))
+    def pair_ok(a, b):
+        if a == b:
+            return tctx.ext_vanishes(mods[a], mods[a])
+        return tctx.compatible(mods[a], mods[b])
 
-    self_ok = {i: all(L.ext_dim(mods[i], mods[i], k) == 0
-                      for k in range(1, horizon + 1)) for i in pool}
-    pair_ok = {}
-    for a, b in combinations(pool, 2):
-        pair_ok[(a, b)] = mod_compat(a, b)
-
-    def compatible_sets(size):
-        found = []
-
-        def search(start, chosen):
-            if len(chosen) == size:
-                found.append(tuple(chosen))
-                return
-            for k in range(start, len(pool)):
-                c = pool[k]
-                if not self_ok[c]:
-                    continue
-                if all(pair_ok[(min(c, o), max(c, o))] for o in chosen):
-                    chosen.append(c)
-                    search(k + 1, chosen)
-                    chosen.pop()
-
-        search(0, [])
-        return found
+    mod_sets = {size: [] for size in range(1, n + 1)}
+    for cand in compatible_sets(len(pool), pair_ok, n):
+        mod_sets[len(cand)].append(tuple(pool[c] for c in cand))
 
     violations = []
 
     # tilting level
     module_tilting = []
-    for cand in compatible_sets(n):
-        full = [mods[i] for i in cand] + list(tctx.proj_inj)
+    for cand in mod_sets[n]:
+        full = [arq.nodes[i].module for i in cand] + list(tctx.proj_inj)
         if tctx.is_tilting(full):
             module_tilting.append(cand)
         else:
@@ -317,28 +286,16 @@ def verify_bijection(spec: ReplicationSpec, arq=None, tctx=None, cctx=None):
         })
 
     # exceptional level: sets of every size map bijectively
+    clu_sets = {size: set() for size in range(1, n + 1)}
+    for objs in cctx.compatible_object_sets():
+        clu_sets[len(objs)].add(frozenset(objs))
     exceptional_counts = {}
     for size in range(1, n + 1):
-        mod_sets = {frozenset(pi_object(arq, i) for i in cand)
-                    for cand in compatible_sets(size)}
-        clu_sets = set()
-        objs, table = cctx.compatibility_pairs()
-        idx = {o: k for k, o in enumerate(objs)}
-
-        def cl_search(start, chosen):
-            if len(chosen) == size:
-                clu_sets.add(frozenset(objs[c] for c in chosen))
-                return
-            for c in range(start, len(objs)):
-                if all(table[(min(c, o), max(c, o))] for o in chosen):
-                    chosen.append(c)
-                    cl_search(c + 1, chosen)
-                    chosen.pop()
-
-        cl_search(0, [])
-        exceptional_counts[size] = {"module_side": len(mod_sets),
-                                    "cluster_side": len(clu_sets)}
-        if mod_sets != clu_sets:
+        images = {frozenset(pi_object(arq, i) for i in cand)
+                  for cand in mod_sets[size]}
+        exceptional_counts[size] = {"module_side": len(images),
+                                    "cluster_side": len(clu_sets[size])}
+        if images != clu_sets[size]:
             violations.append({"kind": "exceptional_mismatch", "size": size})
 
     report = {

@@ -176,14 +176,6 @@ class QMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows_list, cols=None):
-        r = len(rows_list)
-        c = len(rows_list[0]) if rows_list else (cols or 0)
-        if cols is not None:
-            c = cols
-        return cls(r, c, rows_list if rows_list else None)
-
-    @classmethod
     def from_cols(cls, cols_list, rows=None):
         c = len(cols_list)
         r = len(cols_list[0]) if cols_list else (rows or 0)

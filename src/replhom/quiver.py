@@ -112,11 +112,6 @@ class Quiver:
             self._paths = {k: tuple(v) for k, v in table.items()}
         return self._paths
 
-    def path_target(self, x, path):
-        for a in path:
-            x = self.arrow_tgt[a]
-        return x
-
     def to_dict(self):
         return {
             "vertices": list(self.vertices),

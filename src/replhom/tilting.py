@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import layered as L
 from . import repa
@@ -25,6 +26,32 @@ _ONE = Fraction(1)
 
 def ext_horizon(spec: ReplicationSpec) -> int:
     return 2 * spec.m + 1
+
+
+def compatible_sets(n, pair_ok, max_size, item_ok=None):
+    """Increasing tuples of items 0..n-1, pairwise compatible, of every size
+    1..max_size, depth-first in lexicographic order (a tuple comes right
+    before its extensions).
+
+    A candidate c is tried against item_ok(c), then against each chosen
+    item o by pair_ok(o, c), then against itself by pair_ok(c, c); each
+    verdict is asked for at most once.
+    """
+    pair_ok = cache(pair_ok)
+    item_ok = cache(item_ok) if item_ok else lambda c: True
+
+    def fits(c, chosen):
+        return item_ok(c) and all(pair_ok(o, c) for o in chosen + (c,))
+
+    def extend(chosen, start):
+        for c in range(start, n):
+            if fits(c, chosen):
+                grown = chosen + (c,)
+                yield grown
+                if len(grown) < max_size:
+                    yield from extend(grown, c + 1)
+
+    return extend((), 0)
 
 
 class TiltingContext:
@@ -63,6 +90,12 @@ class TiltingContext:
 
     def ext_vanishes(self, X, Y) -> bool:
         return all(L.ext_dim(X, Y, i) == 0
+                   for i in range(1, ext_horizon(self.spec) + 1))
+
+    def compatible(self, X, Y) -> bool:
+        """Ext^i vanishes both ways for 1 <= i <= 2m+1, tried degree by
+        degree."""
+        return all(L.ext_dim(X, Y, i) == 0 and L.ext_dim(Y, X, i) == 0
                    for i in range(1, ext_horizon(self.spec) + 1))
 
     def is_exceptional(self, summands) -> bool:
@@ -381,31 +414,23 @@ class TiltingContext:
             if self.is_tilting(summands):
                 return []
             raise NoComplementFound("rank-many summands but not tilting")
-        chosen = []
 
-        def compatible(X, mods):
-            for Y in mods:
-                if not (self.ext_vanishes(X, Y) and self.ext_vanishes(Y, X)):
-                    return False
-            return self.ext_vanishes(X, X)
+        def fits_summands(c):
+            X = pool[c]
+            return all(self.ext_vanishes(X, Y) and self.ext_vanishes(Y, X)
+                       for Y in summands)
 
-        def search(start):
-            if len(chosen) == need:
-                cand = summands + chosen
-                if self.is_tilting(cand):
-                    return True
-                return False
-            for k in range(start, len(pool)):
-                X = pool[k]
-                if compatible(X, summands + chosen):
-                    chosen.append(X)
-                    if search(k + 1):
-                        return True
-                    chosen.pop()
-            return False
+        def pair_ok(a, b):
+            if a == b:
+                return self.ext_vanishes(pool[a], pool[a])
+            return (self.ext_vanishes(pool[b], pool[a])
+                    and self.ext_vanishes(pool[a], pool[b]))
 
-        if search(0):
-            return list(chosen)
+        for cand in compatible_sets(len(pool), pair_ok, need, fits_summands):
+            if len(cand) == need:
+                chosen = [pool[c] for c in cand]
+                if self.is_tilting(summands + chosen):
+                    return chosen
         raise NoComplementFound("exhaustive search found no complement")
 
     def verdict(self, summands, want_complement=False):
@@ -458,14 +483,6 @@ class ApproximationChain:
     steps: list
     stalled: StallInfo | None
     completed: bool
-
-    def cokernel_at(self, s: int):
-        """L_s: the cokernel after s approximation steps."""
-        if s == 0:
-            return self.start
-        if s <= len(self.steps):
-            return self.steps[s - 1].cokernel
-        raise ValueError(f"chain has only {len(self.steps)} steps")
 
 
 def sample_faithful_exceptional(ctx: TiltingContext, bound: int, count: int):

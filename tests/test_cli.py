@@ -49,7 +49,7 @@ def test_ar_quiver_deterministic(a2_file, tmp_path, capsys):
     for name in ("o1", "o2"):
         out = tmp_path / name
         run(capsys, "ar-quiver", "--quiver", a2_file, "--m", "1",
-            "--out", str(out), "--seed", "0")
+            "--out", str(out))
         outs.append((out / "ar_quiver.dot").read_bytes()
                     + (out / "ar_quiver.json").read_bytes())
     assert outs[0] == outs[1]
@@ -153,21 +153,13 @@ def test_verify_fault_injection(a2_file, capsys):
     assert "witness" in detail
 
 
-def test_seed_is_a_deprecated_no_op(a2_file, tmp_path, capsys):
-    outs = []
-    for name, extra in (("plain", ()), ("seeded", ("--seed", "5"))):
-        out = tmp_path / name
-        code, stdout, err = run(capsys, "ar-quiver", "--quiver", a2_file,
-                                "--m", "1", "--out", str(out), *extra)
-        assert code == 0
-        outs.append((stdout.replace(str(out), "OUT"),
-                     (out / "ar_quiver.dot").read_bytes(),
-                     (out / "ar_quiver.json").read_bytes()))
-        assert ("--seed is deprecated" in err) == bool(extra)
-    assert outs[0] == outs[1]
-    with pytest.raises(SystemExit):
-        main(["ar-quiver", "--help"])
-    assert "--seed" not in capsys.readouterr().out
+def test_seed_is_rejected(a2_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ar-quiver", "--quiver", a2_file, "--m", "1",
+              "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_kronecker_smoke(tmp_path, capsys):
@@ -177,11 +169,15 @@ def test_verify_kronecker_smoke(tmp_path, capsys):
         "arrows": [{"id": "a1", "src": "b", "tgt": "a"},
                    {"id": "a2", "src": "b", "tgt": "a"}],
     }))
-    # bound 4 yields fewer than the 20 demanded samples: the run must fail
-    # loudly rather than silently passing with a thin sample
+    # bound 2 yields fewer than the 20 demanded samples: the bound is the
+    # caller's to raise, so the run stops with an input error rather than
+    # passing on a thin sample
     code, _, err = run(capsys, "verify", "--quiver", str(kron), "--m", "1",
                        "--kronecker-dim", "2")
-    assert code == 1
+    assert code == 2
+    detail = json.loads(err)
+    assert detail["error"] == "NotSupported"
+    assert "--kronecker-dim 2" in detail["detail"]
 
 
 def test_malformed_candidate_module_is_input_error(a2_file, tmp_path,

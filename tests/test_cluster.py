@@ -137,3 +137,22 @@ def test_compatibility_dot(cctx):
     dot = cctx.compatibility_dot()
     assert dot.startswith("graph cluster_compatibility")
     assert dot.count("--") >= 5
+
+
+def test_verify_bijection_builds_the_pair_table_once(spec_a2_m1,
+                                                     monkeypatch):
+    built = []
+    compatible = ClusterContext.compatible
+
+    def counting(self, X, Y):
+        built.append((X, Y))
+        return compatible(self, X, Y)
+
+    monkeypatch.setattr(ClusterContext, "compatible", counting)
+    cctx = ClusterContext(spec_a2_m1)
+    report = verify_bijection(spec_a2_m1, cctx=cctx)
+    n_objs = len(cctx.objects())
+    assert len(built) == n_objs * (n_objs - 1) // 2
+    assert len(set(built)) == len(built)
+    assert report["violations"] == []
+    assert report["cluster_side_count"] == 5

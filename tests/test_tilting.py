@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from replhom.quiver import ReplicationSpec
-from replhom.tilting import TiltingContext, sample_faithful_exceptional
+from replhom.tilting import (TiltingContext, compatible_sets,
+                             sample_faithful_exceptional)
 from replhom import layered as L
 
 
@@ -193,3 +194,63 @@ def test_verdict_shape(ctx, mods):
     assert v["exceptional"] and v["faithful"] and not v["tilting"]
     assert v["complement_verified"]
     assert len(v["complement"]) == 1
+
+
+# -- the compatible-set enumerator ---------------------------------------------
+
+# a fixed compatibility graph on seven items: a path 0-1-2-3, a triangle
+# 4-5-6, and the chords 0-2, 1-4, 3-5, 0-6
+_EDGES = {(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (0, 2), (1, 4),
+          (3, 5), (0, 6)}
+
+
+def _graph_ok(a, b):
+    return a == b or (a, b) in _EDGES
+
+
+def _brute_force(size, admitted):
+    return [t for t in combinations(admitted, size)
+            if all(_graph_ok(a, b) for a, b in combinations(t, 2))]
+
+
+def test_compatible_sets_match_brute_force():
+    for max_size in range(1, 8):
+        got = list(compatible_sets(7, _graph_ok, max_size))
+        # depth first: each tuple right before its extensions
+        assert got == sorted(got)
+        for size in range(1, 8):
+            want = _brute_force(size, range(7)) if size <= max_size else []
+            assert [t for t in got if len(t) == size] == want
+    assert (0, 1, 2) in got and (4, 5, 6) in got and len(got) == 7 + 10 + 2
+
+
+def test_compatible_sets_skip_rejected_items():
+    rejected = {2, 5}
+    got = list(compatible_sets(7, _graph_ok, 7,
+                               item_ok=lambda c: c not in rejected))
+    assert not any(set(t) & rejected for t in got)
+    admitted = [c for c in range(7) if c not in rejected]
+    assert got == sorted(t for size in range(1, 8)
+                         for t in _brute_force(size, admitted))
+    # a failed self verdict rejects the item as well
+    got = list(compatible_sets(7, lambda a, b: a != 3 and _graph_ok(a, b), 7))
+    assert not any(3 in t for t in got)
+
+
+def test_compatible_sets_ask_each_verdict_once():
+    asked = []
+
+    def pair_ok(a, b):
+        asked.append((a, b))
+        return _graph_ok(a, b)
+
+    def item_ok(c):
+        asked.append(c)
+        return True
+
+    got = list(compatible_sets(7, pair_ok, 7, item_ok))
+    assert len(asked) == len(set(asked))
+    assert set(range(7)) <= set(asked)
+    assert {(c, c) for c in range(7)} <= set(asked)
+    assert all(a <= b for a, b in (k for k in asked if isinstance(k, tuple)))
+    assert len(got) == 19
