@@ -322,7 +322,9 @@ def _lmorphisms(M, N, layer_bases, vecs):
             for k, h in enumerate(lb):
                 c = vec[base + k]
                 if c:
-                    hm = h.scale(c)
+                    # basis elements are never changed in place, so a
+                    # coefficient 1 can share h's matrices
+                    hm = h if c == 1 else h.scale(c)
                     mor = hm if mor is None else mor.add(hm)
             parts.append(mor)
             base += len(lb)
@@ -1013,24 +1015,42 @@ def _ext_differential(P_k: LProjSum, P_km1: LProjSum, d: LModMorphism,
 
 
 def ext_dim(M: LayeredModule, N: LayeredModule, i: int) -> int:
-    """dim Ext^i over the replicated algebra, from the minimal resolution."""
+    """dim Ext^i over the replicated algebra, from the minimal resolution:
+    dim Hom(P_i, N) less the ranks of Hom(d_i, N) and Hom(d_{i+1}, N).
+
+    The ranks and dimensions are cached per (M, N) on M, keyed like
+    hom_basis_rep's bases, so a rank shared by degrees i and i + 1 is
+    computed once and a repeated question is a lookup."""
     if i < 1:
         raise ValueError("ext degree must be >= 1")
+    cache = M._cache.setdefault("ext", {})
+    hit = cache.get(id(N))
+    if hit is None or hit[0] is not N:
+        hit = cache[id(N)] = (N, {}, {})
+    _, ranks, dims = hit
+    dim = dims.get(i)
+    if dim is None:
+        dim = dims[i] = _ext_dim(M, N, i, ranks)
+    return dim
+
+
+def _ext_dim(M, N, i, ranks):
     if M.is_zero() or N.is_zero():
         return 0
     res = resolution(M)
     pd = len(res.covers) - 1
     if i > pd:
         return 0
-    dim_i = _hom_from_proj_dim(res.covers[i], N)
-    rank_in = _ext_differential(res.covers[i], res.covers[i - 1],
-                                res.diffs[i - 1], N).rank()
-    if i + 1 <= pd:
-        rank_out = _ext_differential(res.covers[i + 1], res.covers[i],
-                                     res.diffs[i], N).rank()
-    else:
-        rank_out = 0
-    return dim_i - rank_in - rank_out
+
+    def rank(k):
+        r = ranks.get(k)
+        if r is None:
+            r = ranks[k] = _ext_differential(
+                res.covers[k], res.covers[k - 1], res.diffs[k - 1], N).rank()
+        return r
+
+    return (_hom_from_proj_dim(res.covers[i], N) - rank(i)
+            - (rank(i + 1) if i + 1 <= pd else 0))
 
 
 # ---------------------------------------------------------------------------

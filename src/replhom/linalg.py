@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["QMatrix", "NoSolution", "frac", "span_basis"]
+__all__ = ["QMatrix", "NoSolution", "Echelon", "frac", "span_basis"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -142,6 +142,57 @@ def span_basis(vectors, n):
         pv = row[pivots[i]]
         out.append([Fraction(x, pv) if x else _ZERO for x in reversed(row)])
     return out
+
+
+class Echelon:
+    """Integer echelon form of a growing span of vectors of length n.
+
+    add(vec) reduces vec against the rows kept so far, pivoting on each
+    row's first nonzero entry, and keeps the remainder if it is nonzero: it
+    returns True exactly when vec leaves the span, i.e. when the rank of the
+    vectors added so far rises.  Each vector costs one pass over the pivots
+    it meets, not an elimination of the whole span.
+    """
+
+    __slots__ = ("n", "pivots")
+
+    def __init__(self, n):
+        self.n = n
+        self.pivots = {}        # pivot column -> integer row, zero before it
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, vec) -> bool:
+        if len(vec) != self.n:
+            raise ValueError("vector length mismatch")
+        row = None
+        pivots = self.pivots
+        for c in range(self.n):
+            f = vec[c] if row is None else row[c]
+            if not f:
+                continue
+            if row is None:
+                row = _int_row(vec)
+                f = row[c]
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                return True
+            pv = prow[c]
+            for j in range(c, self.n):
+                row[j] = row[j] * pv - f * prow[j]
+            g = 0
+            for j in range(c + 1, self.n):
+                if row[j]:
+                    g = gcd(g, row[j])
+                    if g == 1:
+                        break
+            if g > 1:
+                for j in range(c + 1, self.n):
+                    row[j] //= g
+        return False
 
 
 class QMatrix:

@@ -7,6 +7,11 @@ approximations drive the coresolution chain of the regular module, which
 yields both the tilting test and the complement construction; on a
 representation-finite base the complement falls back to exhaustive search
 over the AR quiver.
+
+An approximation picks its representatives of Hom(M, T_j) modulo radical
+maps against one echelon form per target T_j, and is then checked exactly:
+every map M -> T_j must factor through it, which is decided by one batched
+solve per target.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import cache
 from . import layered as L
 from . import repa
 from .errors import NoComplementFound, TheoremViolation
-from .linalg import QMatrix
+from .linalg import Echelon, QMatrix
 from .quiver import ReplicationSpec, dynkin_type
 
 _ZERO = Fraction(0)
@@ -113,7 +118,11 @@ class TiltingContext:
 
     def _algebra_basis_actions(self, M: L.LayeredModule):
         """Action of every algebra basis element on M, flattened as entries
-        of the total-space operator (so columns align across elements)."""
+        of the total-space operator (so columns align across elements);
+        cached on M, so callers must not mutate the vectors."""
+        cols = M._cache.get("basis_actions")
+        if cols is not None:
+            return cols
         q = self.spec.base
         paths = q.paths()
         m = self.spec.m
@@ -145,6 +154,7 @@ class TiltingContext:
                     for p in paths[(x, y)]:
                         mat = L.dual_path_action(M, i, p, x, y)
                         cols.append(embedded(mat, (i - 1, x), (i, y)))
+        M._cache["basis_actions"] = cols
         return cols
 
     def algebra_dim(self) -> int:
@@ -170,9 +180,10 @@ class TiltingContext:
                     col.extend(a)
         if per_element is None:
             return False
-        height = max(len(per_element[0]), 1)
-        system = QMatrix.from_cols(
-            [c if c else [_ZERO] * height for c in per_element], rows=height)
+        # one row per entry of the operators that some element moves: the
+        # rows left out are zero and do not change the rank
+        rows = [r for r in zip(*per_element) if any(r)]
+        system = QMatrix(len(rows), len(per_element), rows or None)
         by_annihilator = system.rank() == self.algebra_dim()
         if check_agreement is None:
             check_agreement = self.is_exceptional(summands)
@@ -190,7 +201,11 @@ class TiltingContext:
     # -- minimal left approximations -------------------------------------------
 
     def _rad_end_basis(self, T):
-        """Basis of rad End(T) for an indecomposable T (Gram-form kernel)."""
+        """Basis of rad End(T) for an indecomposable T (Gram-form kernel),
+        cached on T."""
+        out = T._cache.get("rad_end")
+        if out is not None:
+            return out
         end = L.hom_basis_rep(T, T)
         ker = repa._gram_matrix(end, end,
                                 L.HOOKS.vertex_blocks).kernel_basis()
@@ -200,10 +215,11 @@ class TiltingContext:
             f = None
             for coef, e in zip(vec, end):
                 if coef:
-                    g = e.scale(coef)
+                    g = e if coef == 1 else e.scale(coef)
                     f = g if f is None else f.add(g)
             if f is not None:
                 out.append(f)
+        T._cache["rad_end"] = out
         return out
 
     def minimal_left_approximation(self, M: L.LayeredModule, summands):
@@ -216,12 +232,28 @@ class TiltingContext:
         """
         summands = list(summands)
         homs = [L.hom_basis_rep(M, T) for T in summands]
+        reps = self._approximation_reps(summands, homs)
+        if not reps:
+            Z = L.zero_module(self.spec)
+            return [], L.LModMorphism.zero(M, Z)
+        target_mods = [summands[j] for j, _ in reps]
+        D, _, _ = L.layered_direct_sum(self.spec, target_mods)
+        f = _stack(M, D, [g for _, g in reps])
+        self._assert_approximation(summands, homs, reps)
+        return [j for j, _ in reps], f
+
+    def _approximation_reps(self, summands, homs):
+        """(j, g) for the chosen g in homs[j] = Hom(M, T_j): a basis of
+        Hom(M, T_j) modulo the maps that factor through a radical map into
+        T_j, kept in basis order."""
         reps = []
         for j, T in enumerate(summands):
             V = homs[j]
             if not V:
                 continue
-            rad_imgs = []
+            # the radical images seed one echelon form; a g is a new rep
+            # exactly when it leaves their span and that of the reps before
+            span = Echelon(len(_vectorize(V[0])))
             for j2, T2 in enumerate(summands):
                 if not homs[j2]:
                     continue
@@ -231,55 +263,28 @@ class TiltingContext:
                     rads = L.hom_basis_rep(T2, T)
                 for h in rads:
                     for g in homs[j2]:
-                        rad_imgs.append(L.lcompose(h, g))
-            span_cols = [self._vectorize(f, M, T) for f in rad_imgs]
-            vdim = len(self._vectorize(V[0], M, T))
-            span = QMatrix.from_cols(span_cols, rows=vdim) if span_cols \
-                else QMatrix.zeros(vdim, 0)
-            cur = span
-            rank = cur.rank()
+                        span.add(_composite_vector(h, g))
             for g in V:
-                cand = QMatrix.hstack(
-                    [cur, QMatrix.from_cols([self._vectorize(g, M, T)])])
-                r2 = cand.rank()
-                if r2 > rank:
+                if span.add(_vectorize(g)):
                     reps.append((j, g))
-                    cur, rank = cand, r2
-        if not reps:
-            Z = L.zero_module(self.spec)
-            return [], L.LModMorphism.zero(M, Z)
-        target_mods = [summands[j] for j, _ in reps]
-        D, incls, _ = L.layered_direct_sum(self.spec, target_mods)
-        f = None
-        for (j, g), incl in zip(reps, incls):
-            comp = L.lcompose(incl, g)
-            f = comp if f is None else f.add(comp)
-        self._assert_approximation(M, summands, homs, reps, f)
-        return [j for j, _ in reps], f
+        return reps
 
-    def _vectorize(self, f: L.LModMorphism, M, T):
-        out = []
-        for p in f.parts:
-            for v in M.quiver.vertices:
-                for row in p.mats[v].data:
-                    out.extend(row)
-        return out
-
-    def _assert_approximation(self, M, summands, homs, reps, f):
-        """Every map M -> summand must factor through f (solved exactly)."""
+    def _assert_approximation(self, summands, homs, reps):
+        """Every map M -> summand must factor through the approximation
+        (solved exactly, all of Hom(M, T_j) in one system per target)."""
         for j, T in enumerate(summands):
-            for g in homs[j]:
-                cols = []
-                for (j2, g2) in reps:
-                    for h in L.hom_basis_rep(summands[j2], T):
-                        cols.append(self._vectorize(L.lcompose(h, g2), M, T))
-                target = self._vectorize(g, M, T)
-                if not any(target):
-                    continue
-                if not cols:
-                    raise TheoremViolation(
-                        "minimal approximation misses a morphism")
-                QMatrix.from_cols(cols, rows=len(target)).solve(target)
+            targets = [t for t in map(_vectorize, homs[j]) if any(t)]
+            if not targets:
+                continue
+            cols = [_composite_vector(h, g2)
+                    for j2, g2 in reps
+                    for h in L.hom_basis_rep(summands[j2], T)]
+            if not cols:
+                raise TheoremViolation(
+                    "minimal approximation misses a morphism")
+            height = len(targets[0])
+            QMatrix.from_cols(cols, rows=height).solve_matrix(
+                QMatrix.from_cols(targets, rows=height))
 
     # -- approximation chain -------------------------------------------------------
 
@@ -461,6 +466,43 @@ class TiltingContext:
             except NoComplementFound as exc:
                 out["complement_error"] = str(exc)
         return out
+
+
+def _vectorize(f: L.LModMorphism):
+    """The entries of f, layer by layer, vertex blocks row-major."""
+    out = []
+    vertices = f.src.quiver.vertices
+    for p in f.parts:
+        for v in vertices:
+            for row in p.mats[v].data:
+                out.extend(row)
+    return out
+
+
+def _composite_vector(h: L.LModMorphism, g: L.LModMorphism):
+    """_vectorize(lcompose(h, g)), from the products of the vertex blocks
+    alone."""
+    out = []
+    vertices = g.src.quiver.vertices
+    for hp, gp in zip(h.parts, g.parts):
+        for v in vertices:
+            for row in (hp.mats[v] * gp.mats[v]).data:
+                out.extend(row)
+    return out
+
+
+def _stack(M, D, gs):
+    """The morphism M -> D = T_1 + ... + T_k with components gs[k]: M -> T_k,
+    i.e. the sum of incl_k g_k, whose vertex blocks are the g_k's blocks
+    stacked in summand order."""
+    parts = []
+    for l, layer in enumerate(D.layers):
+        mats = {}
+        for v in M.quiver.vertices:
+            rows = [r for g in gs for r in g.parts[l].mats[v].data]
+            mats[v] = QMatrix(layer.dim[v], M.layers[l].dim[v], rows or None)
+        parts.append(repa.AMorphism(M.layers[l], layer, mats))
+    return L.LModMorphism(M, D, parts)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -142,6 +143,29 @@ def test_verify_passes(a2_file, capsys):
     assert report["all"] == "pass"
     assert report["tilting_count"] == 5
     assert report["fundamental_domain_size"] == 5
+
+
+@pytest.mark.slow
+def test_verify_e6_m1(tmp_path, capsys):
+    """The E6 bijection with m = 1: every check passes and the tilting
+    objects number the Fuss-Catalan prod (mh + e_i + 1)/(e_i + 1) = 833."""
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps({
+        "vertices": ["1", "2", "3", "4", "5", "6"],
+        "arrows": [{"id": a, "src": s, "tgt": t} for a, s, t in
+                   [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                    ("d", "4", "5"), ("e", "6", "3")]],
+    }))
+    h, exponents = 12, (1, 4, 5, 7, 8, 11)
+    fuss_catalan = Fraction(1)
+    for e in exponents:
+        fuss_catalan *= Fraction(h + e + 1, e + 1)
+    assert fuss_catalan == 833
+    code, stdout, _ = run(capsys, "verify", "--quiver", str(path), "--m", "1")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["all"] == "pass"
+    assert report["tilting_count"] == 833
 
 
 def test_verify_fault_injection(a2_file, capsys):

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from replhom import layered as L
 from replhom.cluster import (ClusterContext, ClusterObject, pi_object,
                              verify_bijection)
 from replhom.errors import NotSupported
@@ -156,3 +159,19 @@ def test_verify_bijection_builds_the_pair_table_once(spec_a2_m1,
     assert len(set(built)) == len(built)
     assert report["violations"] == []
     assert report["cluster_side_count"] == 5
+
+
+def test_verify_bijection_builds_each_ext_differential_once(a3, monkeypatch):
+    """The rank of Hom(d_k, N) is cached per (M, N): across the whole run,
+    no differential of a resolution is rebuilt against the same N."""
+    built = Counter()
+    original = L._ext_differential
+
+    def counting(P_k, P_km1, d, N):
+        built[(d, N)] += 1          # d names (M, k): identity hashing
+        return original(P_k, P_km1, d, N)
+
+    monkeypatch.setattr(L, "_ext_differential", counting)
+    report = verify_bijection(ReplicationSpec(a3, 1))
+    assert report["module_side_count"] == 14
+    assert built and max(built.values()) == 1

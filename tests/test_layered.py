@@ -202,6 +202,36 @@ def test_ext_beyond_global_dimension(sp, nodes_a2_m1):
             assert L.ext_dim(M, N, 2 * sp.m + 2) == 0
 
 
+def _fresh_ext_dim(M, N, i):
+    """dim Ext^i(M, N) from ranks computed afresh, bypassing every cache
+    ext_dim keeps."""
+    res = L.resolution(M)
+    pd = len(res.covers) - 1
+    if M.is_zero() or N.is_zero() or i > pd:
+        return 0
+
+    def rank(k):
+        return L._ext_differential(res.covers[k], res.covers[k - 1],
+                                   res.diffs[k - 1], N).rank()
+
+    return (L._hom_from_proj_dim(res.covers[i], N) - rank(i)
+            - (rank(i + 1) if i < pd else 0))
+
+
+@pytest.mark.parametrize("base", ["a3", "d4"])
+def test_cached_ext_dim_matches_a_fresh_computation(base, request):
+    spec = ReplicationSpec(request.getfixturevalue(base), 1)
+    mods = [node.module for node in ARQuiver(spec).nodes]
+    degrees = range(1, 2 * spec.m + 2)
+    for M in mods:
+        for N in mods:
+            want = [_fresh_ext_dim(M, N, i) for i in degrees]
+            assert [L.ext_dim(M, N, i) for i in degrees] == want
+            # asked again, in reverse order: answered from the cache
+            assert [L.ext_dim(M, N, i) for i in reversed(degrees)] \
+                == want[::-1]
+
+
 # -- AR translates -----------------------------------------------------------------------
 
 def test_tau_inv_example(sp):

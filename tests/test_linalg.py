@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from replhom.linalg import NoSolution, QMatrix, span_basis
+from replhom.linalg import Echelon, NoSolution, QMatrix, span_basis
 
 
 def gauss_oracle(rows, ncols):
@@ -179,3 +179,32 @@ def test_serialization_strings():
     assert lists == [["-3/4", "2"]]
     back = QMatrix.from_lists(1, 2, lists)
     assert back == m
+
+
+def test_echelon_add_matches_rank():
+    """add() reports a vector as new exactly when QMatrix.rank of the
+    vectors so far rises; sums of earlier vectors exercise the in-span
+    case."""
+    rng = random.Random(7)
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        ech, seen = Echelon(n), []
+        for _ in range(rng.randint(1, 10)):
+            if seen and rng.random() < 0.4:
+                vec = [sum(rng.randint(-2, 2) * v[k] for v in seen)
+                       for k in range(n)]
+            else:
+                vec = [rng.choice([0, 0, 0, 1, -1, 2, 5]) for _ in range(n)]
+            if rng.random() < 0.3:
+                vec = [Fraction(x, 3) for x in vec]
+            before = QMatrix.from_cols(seen, rows=n).rank() if seen else 0
+            seen.append(vec)
+            after = QMatrix.from_cols(seen, rows=n).rank()
+            assert ech.add(vec) == (after > before)
+            assert ech.rank == after == gauss_oracle(
+                [list(r) for r in zip(*seen)], len(seen))
+
+
+def test_echelon_rejects_a_wrong_length():
+    with pytest.raises(ValueError):
+        Echelon(3).add([1, 2])

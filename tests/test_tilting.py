@@ -2,8 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from replhom.arquiver import ARQuiver
+from replhom.errors import TheoremViolation
+from replhom.linalg import NoSolution
 from replhom.quiver import ReplicationSpec
-from replhom.tilting import (TiltingContext, compatible_sets,
+from replhom.tilting import (TiltingContext, _stack, compatible_sets,
                              sample_faithful_exceptional)
 from replhom import layered as L
 
@@ -63,6 +66,50 @@ def test_approximation_into_proj_inj(ctx, mods):
         mods["a1/b0"], [mods["a1/b0/a0"], mods["b1/a1/b0"]])
     assert f.is_mono()
     assert targets == [1]   # lands in the envelope with top b_1
+
+
+def test_dropping_a_rep_fails_the_approximation_check(ctx, mods):
+    """Every chosen rep is needed: without it some map into the summands
+    no longer factors, and the batched check raises."""
+    T = [mods["a1/b0/a0"], mods["b1/a1/b0"], mods["b0/a0"], mods["a0"]]
+    dropped = 0
+    for M in mods.values():
+        homs = [L.hom_basis_rep(M, X) for X in T]
+        reps = ctx._approximation_reps(T, homs)
+        ctx._assert_approximation(T, homs, reps)
+        for k in range(len(reps)):
+            with pytest.raises((NoSolution, TheoremViolation)):
+                ctx._assert_approximation(T, homs, reps[:k] + reps[k + 1:])
+            dropped += 1
+    assert dropped >= len(T)
+
+
+@pytest.mark.parametrize("base,m", [("a3", 2), ("d4", 1)])
+def test_stacked_approximation_is_the_sum_of_inclusions(base, m, request):
+    """f stacks the reps' vertex blocks: it equals the sum over the reps of
+    incl_k g_k into the direct sum of their targets."""
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    others = [node.module for node in arq.nodes if not node.is_proj_inj]
+    T = list(tctx.proj_inj) + others[:2]
+    compared = 0
+    for node in arq.nodes:
+        M = node.module
+        reps = tctx._approximation_reps(T, [L.hom_basis_rep(M, X) for X in T])
+        if not reps:
+            continue
+        D, incls, _ = L.layered_direct_sum(spec, [T[j] for j, _ in reps])
+        old = None
+        for (_, g), incl in zip(reps, incls):
+            comp = L.lcompose(incl, g)
+            old = comp if old is None else old.add(comp)
+        new = _stack(M, D, [g for _, g in reps])
+        assert new.src is M and new.tgt is D
+        for p_new, p_old in zip(new.parts, old.parts):
+            assert p_new.mats == p_old.mats
+        compared += 1
+    assert compared >= len(arq.nodes) // 2
 
 
 def test_chain_stalls_like_the_counterexample(ctx, mods):
