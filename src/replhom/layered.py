@@ -9,7 +9,10 @@ P(x_{i+1}) and I(x_i) coincide: those are the projective-injectives.
 
 Covers, envelopes, syzygies, Ext and the AR translate all reduce to exact
 linear algebra through the blockwise Nakayama calculus on sums of P(x_i)
-and I(x_i).
+and I(x_i).  A connector is read as an action on elements only through
+dual_path_action, the action of u* for a path u; Hom, socle, envelope and
+Ext are built on it, while constructions that make or check a connector
+on nu(M^i) itself take Nakayama images.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .repa import (AMorphism, ARep, compose, hom_basis, injective,
                    proj_sum_of, simple)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LayeredModule:
@@ -266,41 +268,45 @@ def hom_basis_rep(M: LayeredModule, N: LayeredModule):
     """Basis of Hom over the replicated algebra.
 
     Unknowns are coordinates in the layerwise base Hom spaces; constraints
-    are the connector compatibilities, linear through the Nakayama functor.
+    say that the layer maps commute with every dual-path action,
+    h^{i-1}_x u*_M = u*_N h^i_y for each path u: x -> y (dual_path_action).
+    The elements m (x) u* span nu(M^i), so this is the connector
+    compatibility h^{i-1} delta^M_i = delta^N_i nu(h^i), with no Nakayama
+    image of a basis element.
     """
     cache = M._cache.setdefault("hom", {})
     hit = cache.get(id(N))
     if hit is not None and hit[0] is N:
         return hit[1]
     m = M.spec.m
+    paths = M.quiver.paths()
     layer_bases = [hom_basis(M.layers[l], N.layers[l]) for l in range(m + 1)]
-    # layer 0 meets the connectors only as a target: no Nakayama images
-    nu_bases = [None] + [[nu_morphism(h) for h in lb]
-                         for lb in layer_bases[1:]]
     offsets, total = [], 0
     for lb in layer_bases:
         offsets.append(total)
         total += len(lb)
     rows = []
     for i in range(1, m + 1):
-        nu_mi = nu_module(M.layers[i])
-        tgt = N.layers[i - 1]
-        shape = [(v, nu_mi.dim[v], tgt.dim[v]) for v in M.quiver.vertices]
-        n_entries = sum(r * c for _, c, r in shape)
-        if n_entries == 0:
+        if not layer_bases[i - 1] and not layer_bases[i]:
             continue
-        cols = {}
-        for k, h in enumerate(layer_bases[i - 1]):
-            cols[offsets[i - 1] + k] = compose(h, M.connectors[i])
-        for k, nh in enumerate(nu_bases[i]):
-            cols[offsets[i] + k] = compose(N.connectors[i], nh).scale(-1)
-        for v, csz, rsz in shape:
-            for r in range(rsz):
-                for c in range(csz):
-                    row = [_ZERO] * total
-                    for idx, mor in cols.items():
-                        row[idx] += mor.mats[v].data[r][c]
-                    rows.append(row)
+        for (x, y), us in paths.items():
+            for u in us:
+                act_m = dual_path_action(M, i, u, x, y)
+                act_n = dual_path_action(N, i, u, x, y)
+                if act_m.is_zero() and act_n.is_zero():
+                    continue
+                lhs = [(offsets[i - 1] + k, h.mats[x] * act_m)
+                       for k, h in enumerate(layer_bases[i - 1])]
+                rhs = [(offsets[i] + k, act_n * h.mats[y])
+                       for k, h in enumerate(layer_bases[i])]
+                for r in range(act_n.rows):
+                    for c in range(act_m.cols):
+                        row = [_ZERO] * total
+                        for idx, mat in lhs:
+                            row[idx] = mat.data[r][c]
+                        for idx, mat in rhs:
+                            row[idx] = -mat.data[r][c]
+                        rows.append(row)
     basis = []
     if total:
         system = QMatrix(len(rows), total, rows if rows else None)
@@ -490,13 +496,15 @@ def top_data(M: LayeredModule):
 def socle_data(M: LayeredModule):
     """Socle bases: dict (layer, vertex) -> QMatrix of columns.
 
-    An element sits in the socle iff the base-algebra arrows out of its
-    vertex kill it and (for layers >= 1) its connector action vanishes.
+    An element of M^l(x) sits in the socle iff the base-algebra arrows out
+    of x kill it and (for layers >= 1) so does every dual-path action
+    u*: M^l(x) -> M^{l-1}(w), u: w -> x (dual_path_action).
     """
     cached = M._cache.get("socle")
     if cached is not None:
         return cached
     q = M.quiver
+    paths = q.paths()
     out = {}
     for l in range(M.spec.m + 1):
         for x in q.vertices:
@@ -506,27 +514,11 @@ def socle_data(M: LayeredModule):
                 continue
             conditions = [M.layers[l].mats[a] for a in q.out_arrows[x]]
             if l >= 1:
-                psum = proj_sum_of(q, x)
-                delta = M.connectors[l]
-                cols = []
-                for r in range(n):
-                    e = [_ONE if k == r else _ZERO for k in range(n)]
-                    phi = psum.hom_to(M.layers[l], [e])
-                    comp = compose(delta, nu_morphism(phi))
-                    col = []
-                    for w in q.vertices:
-                        for row in comp.mats[w].data:
-                            col.extend(row)
-                    cols.append(col)
-                if cols and len(cols[0]):
-                    conditions.append(QMatrix.from_cols(cols))
-            if conditions:
-                stacked = QMatrix.vstack(
-                    [c for c in conditions] or [QMatrix.zeros(0, n)])
-                out[(l, x)] = stacked.kernel_basis() if stacked.rows else \
-                    QMatrix.identity(n)
-            else:
-                out[(l, x)] = QMatrix.identity(n)
+                conditions += [dual_path_action(M, l, u, w, x)
+                               for w in q.vertices for u in paths[(w, x)]]
+            stacked = QMatrix.vstack(conditions) if conditions else None
+            out[(l, x)] = stacked.kernel_basis() if stacked and stacked.rows \
+                else QMatrix.identity(n)
     M._cache["socle"] = out
     return out
 
@@ -870,30 +862,16 @@ def injective_envelope_rep(M: LayeredModule):
         parts = [None] * (m + 1)
         parts[l] = f_l
         if l < m:
-            rhs = compose(f_l, M.connectors[l + 1])   # nu(M^{l+1}) -> I(x)
-            hb = hom_basis(M.layers[l + 1], projective(q, x))
-            nubs = [nu_morphism(h) for h in hb]
-            cols, target = [], []
-            for w in q.vertices:
-                for r in range(rhs.mats[w].rows):
-                    target.extend(rhs.mats[w].data[r])
-            for nh in nubs:
-                col = []
-                for w in q.vertices:
-                    for r in range(nh.mats[w].rows):
-                        col.extend(nh.mats[w].data[r])
-                cols.append(col)
-            if target and any(t != 0 for t in target):
-                sol = QMatrix.from_cols(cols, rows=len(target)).solve(target)
-            else:
-                sol = [_ZERO] * len(cols)
-            f_up = None
-            for c, h in zip(sol, hb):
-                if c:
-                    hm = h.scale(c)
-                    f_up = hm if f_up is None else f_up.add(hm)
-            if f_up is not None:
-                parts[l + 1] = f_up
+            # the P(x) component at layer l+1: row u (a path x -> z) at
+            # vertex z is lam read after the dual-path action u*
+            up = M.layers[l + 1]
+            basis = proj_sum_of(q, x).basis
+            mats = {}
+            for z in q.vertices:
+                rows = [_row_times(lam, dual_path_action(M, l + 1, u, x, z))
+                        for _, u in basis[z]]
+                mats[z] = QMatrix(len(rows), up.dim[z], rows or None)
+            parts[l + 1] = AMorphism(up, projective(q, x), mats)
         comps.append(LModMorphism(M, I.components[j], parts))
     parts = []
     for lay in range(m + 1):
@@ -990,27 +968,26 @@ def _hom_from_proj_dim(P: LProjSum, N: LayeredModule) -> int:
 def _ext_differential(P_k: LProjSum, P_km1: LProjSum, d: LModMorphism,
                       N: LayeredModule) -> QMatrix:
     """Matrix of Hom(d, N): Hom(P_{k-1}, N) -> Hom(P_k, N) in generator
-    coordinates."""
-    rows_dim = _hom_from_proj_dim(P_k, N)
-    cols_dim = _hom_from_proj_dim(P_km1, N)
-    out = QMatrix.zeros(rows_dim, cols_dim)
-    col = 0
-    for beta, (x, i) in enumerate(P_km1.members):
-        n = N.layers[i].dim[x]
-        for r in range(n):
-            e = [_ONE if k == r else _ZERO for k in range(n)]
-            rho = P_km1.hom_to(N, [
-                e if b == beta else [_ZERO] * N.layers[xi[1]].dim[xi[0]]
-                for b, xi in enumerate(P_km1.members)])
-            row = 0
-            for alpha in range(len(P_k.members)):
-                lay, v, cpos = P_k.gen_position(alpha)
-                vec = d.parts[lay].mats[v].col(cpos)
-                val = rho.parts[lay].mats[v].apply(vec)
-                for t in val:
-                    out.data[row][col] = t
-                    row += 1
-            col += 1
+    coordinates.  Block (alpha, beta) is sum c_u N(u) for a "same" block of
+    lproj_blocks and sum c_u u*_N (dual_path_action) for a "cross" one."""
+    def offsets(P):
+        offs = [0]
+        for x, i in P.members:
+            offs.append(offs[-1] + N.layers[i].dim[x])
+        return offs
+
+    row_offs, col_offs = offsets(P_k), offsets(P_km1)
+    out = QMatrix.zeros(row_offs[-1], col_offs[-1])
+    for alpha, beta, kind, coeffs in lproj_blocks(P_k, P_km1, d):
+        x, i = P_k.members[alpha]
+        y, _ = P_km1.members[beta]
+        co = col_offs[beta]
+        for u, c in coeffs.items():
+            act = N.layers[i].path_matrix(y, u) if kind == "same" else \
+                dual_path_action(N, i + 1, u, x, y)
+            for orow, arow in zip(out.data[row_offs[alpha]:], act.data):
+                for t, a in enumerate(arow):
+                    orow[co + t] += c * a
     return out
 
 
@@ -1166,34 +1143,39 @@ def loewy_series(M: LayeredModule):
 
 
 def dual_path_action(M: LayeredModule, l: int, qpath, x, y) -> QMatrix:
-    """Action of the dual-bimodule element attached to a path q: x -> y,
-    mapping M^l(y) -> M^{l-1}(x)."""
+    """Action M^l(y) -> M^{l-1}(x) of the dual path u* of u = qpath: x -> y,
+    the one reader of the connector delta_l as an action on elements.
+
+    An element is lifted to P0(y) of M^l's minimal presentation; u* sends
+    a path p: x_s -> y to xi* in I(x_s)(x) when u = xi p and to 0 otherwise,
+    and the Nakayama projection and delta_l carry that to M^{l-1}(x).
+    Cached per module under (l, qpath, x, y): never mutate the result.
+    """
     if l < 1:
         raise ValueError("dual-path action maps layer l >= 1 downward")
+    cache = M._cache.setdefault("dual", {})
+    key = (l, qpath, x, y)
+    act = cache.get(key)
+    if act is not None:
+        return act
     layer = M.layers[l]
+    n, rows = layer.dim[y], M.layers[l - 1].dim[x]
+    if n == 0 or rows == 0:
+        act = cache[key] = QMatrix.zeros(rows, n)
+        return act
     pres = repa.minimal_presentation(layer)
-    nd = nu_data(layer)
-    n = layer.dim[y]
     isum = repa.inj_sum(M.quiver, pres.p0.vertices)
-    cols = []
-    for r in range(n):
-        e = [_ONE if k == r else _ZERO for k in range(n)]
-        w = pres.pi.mats[y].solve(e)
-        vec = [_ZERO] * isum.rep.dim[x]
-        for idx, c in enumerate(w):
-            if not c:
-                continue
-            s, p = pres.p0.basis[y][idx]
-            k = len(p)
-            if k == 0:
-                xi = qpath
-            elif len(qpath) >= k and qpath[len(qpath) - k:] == p:
-                xi = qpath[:len(qpath) - k]
-            else:
-                continue
-            pos = isum.pos[x].get((s, xi))
-            if pos is not None:
-                vec[pos] += c
-        nu_vec = nd.proj.mats[x].apply(vec)
-        cols.append(M.connectors[l].mats[x].apply(nu_vec))
-    return QMatrix.from_cols(cols, rows=M.layers[l - 1].dim[x])
+    # any preimages of the unit vectors do: u* is defined on M^l(y)
+    lift = pres.pi.mats[y].solve_matrix(QMatrix.identity(n))
+    routed = QMatrix.zeros(isum.rep.dim[x], n)
+    for idx, (s, p) in enumerate(pres.p0.basis[y]):
+        k = len(qpath) - len(p)
+        if k < 0 or qpath[k:] != p:
+            continue
+        target = routed.data[isum.pos[x][(s, qpath[:k])]]
+        for r, c in enumerate(lift.data[idx]):
+            if c:
+                target[r] += c
+    act = cache[key] = M.connectors[l].mats[x] * (
+        nu_data(layer).proj.mats[x] * routed)
+    return act

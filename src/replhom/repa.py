@@ -385,35 +385,28 @@ def hom_dim(M, N):
 
 
 def ext1_a(M: ARep, N: ARep) -> int:
-    """dim Ext^1 over the (hereditary) base algebra, from the minimal
-    presentation of M."""
+    """dim Ext^1 over the (hereditary) base algebra: dim Hom(P1, N) less the
+    rank of Hom(d, N) for the minimal presentation d: P1 -> P0 of M.  Block
+    (k, j) of Hom(d, N) is sum c_p N(p) over the paths p: x_j -> y_k in the
+    k-th generator column of d."""
     if M.is_zero() or N.is_zero():
         return 0
     pres = minimal_presentation(M)
-    if not pres.p1.vertices:
-        return 0
-    dim_hom_p1 = sum(N.dim[y] for y in pres.p1.vertices)
-    # evaluate Hom(d, N): Hom(P0, N) -> Hom(P1, N) in generator coordinates
-    rows_dim = dim_hom_p1
-    cols_dim = sum(N.dim[x] for x in pres.p0.vertices)
-    D = QMatrix.zeros(rows_dim, cols_dim)
-    col = 0
-    for j, x in enumerate(pres.p0.vertices):
-        for r in range(N.dim[x]):
-            e = [[_ONE] if t == r else [_ZERO] for t in range(N.dim[x])]
-            gen_cols = [([v[0] for v in e] if jj == j else
-                         [_ZERO] * N.dim[xx])
-                        for jj, xx in enumerate(pres.p0.vertices)]
-            rho = pres.p0.hom_to(N, gen_cols)
-            row = 0
-            for k, y in enumerate(pres.p1.vertices):
-                vec = pres.d.mats[y].col(pres.p1.gen_pos(k))
-                val = rho.mats[y].apply(vec)
-                for t in val:
-                    D.data[row][col] = t
-                    row += 1
-            col += 1
-    return dim_hom_p1 - D.rank()
+    p0, p1 = pres.p0, pres.p1
+    col_offs = [0]
+    for x in p0.vertices:
+        col_offs.append(col_offs[-1] + N.dim[x])
+    rows = []
+    for k, y in enumerate(p1.vertices):
+        block = [[_ZERO] * col_offs[-1] for _ in range(N.dim[y])]
+        for (j, p), c in zip(p0.basis[y], pres.d.mats[y].col(p1.gen_pos(k))):
+            if c:
+                path = N.path_matrix(p0.vertices[j], p)
+                for brow, prow in zip(block, path.data):
+                    for t, a in enumerate(prow):
+                        brow[col_offs[j] + t] += c * a
+        rows += block
+    return len(rows) - QMatrix(len(rows), col_offs[-1], rows or None).rank()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import layered as L
 from . import repa
@@ -308,22 +308,13 @@ class TiltingContext:
                 break
             targets, f = self.minimal_left_approximation(cur, summands)
             if not f.is_mono():
-                witness = self._stall_witness(cur, summands)
-                chain.stalled = StallInfo(step=step, witness=witness)
+                chain.stalled = StallInfo(step, cur, self, summands)
                 break
             coker, _ = L.cokernel_rep(f)
             chain.steps.append(ChainStep(source=cur, targets=targets,
                                          approx=f, cokernel=coker))
             cur = coker
         return chain
-
-    def _stall_witness(self, M, summands):
-        """An indecomposable summand of M whose approximation is not mono."""
-        for s in L.decompose_rep(M):
-            _, f = self.minimal_left_approximation(s, summands)
-            if not f.is_mono():
-                return s
-        return M
 
     # -- tilting -------------------------------------------------------------------
 
@@ -515,8 +506,23 @@ class ChainStep:
 
 @dataclass
 class StallInfo:
+    """Where an approximation chain stalled: the step and the module whose
+    approximation is not mono.  The witness is found only when read, since
+    most callers ask only whether the chain completed."""
     step: int
-    witness: L.LayeredModule
+    module: L.LayeredModule
+    ctx: TiltingContext
+    summands: list
+
+    @cached_property
+    def witness(self) -> L.LayeredModule:
+        """An indecomposable summand of the stalled module whose
+        approximation is not mono (the module itself if none is)."""
+        for s in L.decompose_rep(self.module):
+            _, f = self.ctx.minimal_left_approximation(s, self.summands)
+            if not f.is_mono():
+                return s
+        return self.module
 
 
 @dataclass
