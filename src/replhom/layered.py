@@ -10,9 +10,13 @@ P(x_{i+1}) and I(x_i) coincide: those are the projective-injectives.
 Covers, envelopes, syzygies, Ext and the AR translate all reduce to exact
 linear algebra through the blockwise Nakayama calculus on sums of P(x_i)
 and I(x_i).  A connector is read as an action on elements only through
-dual_path_action, the action of u* for a path u; Hom, socle, envelope and
-Ext are built on it, while constructions that make or check a connector
-on nu(M^i) itself take Nakayama images.
+dual_path_action, the action of u* for a path u; Hom, socle, envelope,
+Ext and the maps out of projective sums (LProjSum.hom_to) are built on it,
+while the constructions that make or check a connector on nu(M^i) itself
+(layered_sub, cokernel_rep, validate, LModMorphism.compatible) take
+Nakayama images.  A direct sum is a module and nothing more: its layers
+carry presentation and Nakayama caches aligned summand by summand, but no
+inclusions or projections.
 """
 
 from __future__ import annotations
@@ -235,29 +239,20 @@ def injective_rep(spec: ReplicationSpec, x, i) -> LayeredModule:
 
 
 def layered_direct_sum(spec: ReplicationSpec, mods):
-    """Block direct sum with aligned Nakayama data; returns (D, incls, projs)."""
+    """Block direct sum with aligned Nakayama data."""
     mods = list(mods)
     if not mods:
-        z = zero_module(spec)
-        return z, [], []
+        return zero_module(spec)
     m = spec.m
-    layer_data = [repa.direct_sum_areps([M.layers[l] for M in mods])
-                  for l in range(m + 1)]
-    layers = [ld[0] for ld in layer_data]
+    layers = [repa.direct_sum_areps([M.layers[l] for M in mods])
+              for l in range(m + 1)]
     conns = [None] * (m + 1)
     for i in range(1, m + 1):
         nu_i = nu_module(layers[i])
         mats = {v: QMatrix.block_diag([M.connectors[i].mats[v] for M in mods])
                 for v in spec.base.vertices}
         conns[i] = AMorphism(nu_i, layers[i - 1], mats)
-    D = LayeredModule(spec, layers, conns, check=False)
-    incls, projs = [], []
-    for k, M in enumerate(mods):
-        incls.append(LModMorphism(M, D, [layer_data[l][1][k]
-                                         for l in range(m + 1)]))
-        projs.append(LModMorphism(D, M, [layer_data[l][2][k]
-                                         for l in range(m + 1)]))
-    return D, incls, projs
+    return LayeredModule(spec, layers, conns, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +533,7 @@ class LProjSum:
         self.spec = spec
         self.members = tuple(members)
         self.components = [projective_rep(spec, x, i) for x, i in self.members]
-        self.module, self.incls, self.projs = layered_direct_sum(
-            spec, self.components)
+        self.module = layered_direct_sum(spec, self.components)
 
     def gen_position(self, j):
         """(layer, vertex, column) of the j-th generator inside the sum."""
@@ -550,7 +544,11 @@ class LProjSum:
         return i, x, off + local
 
     def hom_to(self, N: LayeredModule, gen_cols) -> LModMorphism:
-        """Morphism sending the j-th generator to gen_cols[j] in N^{i_j}(x_j)."""
+        """Morphism sending the j-th generator to gen_cols[j] in N^{i_j}(x_j).
+
+        A morphism out of P(x_i) is fixed by the generator's image g: on
+        the layer I(x) below, the column of u* (u a path w -> x) at vertex
+        w is u* applied to g (dual_path_action)."""
         q = self.spec.base
         m = self.spec.m
         comps = []
@@ -560,7 +558,14 @@ class LProjSum:
             parts = [None] * (m + 1)
             parts[i] = phi
             if i > 0:
-                parts[i - 1] = compose(N.connectors[i], nu_morphism(phi))
+                g = phi.mats[x].col(psum.gen_pos(0))
+                below = N.layers[i - 1]
+                isum = inj_sum_of(q, x)
+                parts[i - 1] = AMorphism(isum.rep, below, {
+                    w: QMatrix.from_cols(
+                        [dual_path_action(N, i, u, w, x).apply(g)
+                         for _, u in isum.basis[w]], rows=below.dim[w])
+                    for w in q.vertices})
             comps.append(LModMorphism(self.components[j], N, parts))
         parts = []
         for l in range(m + 1):
@@ -588,8 +593,7 @@ class LInjSum:
         self.spec = spec
         self.members = tuple(members)
         self.components = [injective_rep(spec, x, i) for x, i in self.members]
-        self.module, self.incls, self.projs = layered_direct_sum(
-            spec, self.components)
+        self.module = layered_direct_sum(spec, self.components)
 
     def piece_offset(self, j, layer, vertex):
         return sum(self.components[k].layers[layer].dim[vertex]
@@ -640,33 +644,47 @@ def _assemble(src_mod: LayeredModule, tgt_mod: LayeredModule,
                                    parts[lay]) for lay in range(m + 1)])
 
 
-def _phi_from_coeffs(q, x, y, coeffs):
-    """Base morphism P(x) -> P(y) with the given path coefficients."""
-    psum = proj_sum_of(q, x)
-    tgt = projective(q, y)
-    tgt_sum = proj_sum_of(q, y)
-    gen = [_ZERO] * tgt.dim[x]
+def _from_coeffs(q, x, tgt_sum, coeffs):
+    """Base morphism P(x) -> tgt_sum.rep, the P(y) or I(y) of a one-member
+    sum, sending the generator to sum c_u u over paths or dual paths u."""
+    gen = [_ZERO] * tgt_sum.rep.dim[x]
     for u, c in coeffs.items():
         gen[tgt_sum.pos[x][(0, u)]] += c
-    return psum.hom_to(tgt, [gen])
-
-
-def _cross_from_coeffs(q, x, y, coeffs):
-    """Base morphism P(x) -> I(y) with the given dual-path coefficients."""
-    psum = proj_sum_of(q, x)
-    tgt = injective(q, y)
-    tgt_sum = inj_sum_of(q, y)
-    gen = [_ZERO] * tgt.dim[x]
-    for u, c in coeffs.items():
-        gen[tgt_sum.pos[x][(0, u)]] += c
-    return psum.hom_to(tgt, [gen])
+    return proj_sum_of(q, x).hom_to(tgt_sum.rep, [gen])
 
 
 def _psi_from_coeffs(q, x, y, coeffs):
     """Base morphism I(x) -> I(y): Nakayama image of the phi with the same
     path coefficients."""
-    phi = _phi_from_coeffs(q, x, y, coeffs)
+    phi = _from_coeffs(q, x, proj_sum_of(q, y), coeffs)
     return repa.nu_projsum_morphism(proj_sum_of(q, x), proj_sum_of(q, y), phi)
+
+
+def _piece_coeffs(vec, off, basis):
+    """Nonzero entries of vec on the piece at off with the (summand, path)
+    basis, keyed by path."""
+    return {u: vec[idx] for idx, (_, u) in enumerate(basis, off) if vec[idx]}
+
+
+def _generator_blocks(q, S, i, lay, v, col):
+    """(l, kind, coeffs) per member l of the sum S that col, the image at
+    (lay, v) of a generator of level i, meets: a member y of level i is a
+    "same" piece, coefficients on the paths of P(y) at v, one of level
+    i + 1 a "cross" piece, on the dual paths of I(y) at v.  These members
+    fill layer lay = i of a projective sum, and layer lay = i + 1 of an
+    injective one when i < m."""
+    out = []
+    for l, (y, il) in enumerate(S.members):
+        if il == i:
+            kind, basis = "same", proj_sum_of(q, y).basis[v]
+        elif il == i + 1:
+            kind, basis = "cross", inj_sum_of(q, y).basis[v]
+        else:
+            continue
+        coeffs = _piece_coeffs(col, S.piece_offset(l, lay, v), basis)
+        if coeffs:
+            out.append((l, kind, coeffs))
+    return out
 
 
 def lproj_blocks(P: LProjSum, Q: LProjSum, f: LModMorphism):
@@ -674,48 +692,21 @@ def lproj_blocks(P: LProjSum, Q: LProjSum, f: LModMorphism):
 
     Returns list of (j, l, kind, coeffs); kind "same" carries path
     coefficients (maps P(x_j,i) -> P(y_l,i)), kind "cross" dual-path
-    coefficients (maps P(x_j,i) -> P(y_l,i+1)).
+    coefficients (maps P(x_j,i) -> P(y_l,i+1)).  The same and crossing
+    pieces fill the generator's layer of Q, so a nonzero entry past them
+    means that f does not map into Q: ArithmeticError.
     """
     q = P.spec.base
     out = []
-    for j, (x, i) in enumerate(P.members):
+    for j, (_, i) in enumerate(P.members):
         lay, v, colpos = P.gen_position(j)
-        col = f.parts[lay].mats[v].col(colpos) if f.parts[lay].mats[v].rows \
-            else []
-        consumed = {}
-        for l, (y, il) in enumerate(Q.members):
-            if il == i:
-                psum = proj_sum_of(q, y)
-                off = Q.piece_offset(l, lay, v)
-                coeffs = {}
-                for idx, (s, u) in enumerate(psum.basis[v]):
-                    c = col[off + idx]
-                    if c:
-                        coeffs[u] = c
-                        consumed[off + idx] = True
-                if coeffs:
-                    out.append((j, l, "same", coeffs))
-                else:
-                    for idx in range(len(psum.basis[v])):
-                        consumed[off + idx] = True
-            elif il == i + 1:
-                isum = inj_sum_of(q, y)
-                off = Q.piece_offset(l, lay, v)
-                coeffs = {}
-                for idx, (s, u) in enumerate(isum.basis[v]):
-                    c = col[off + idx]
-                    if c:
-                        coeffs[u] = c
-                        consumed[off + idx] = True
-                if coeffs:
-                    out.append((j, l, "cross", coeffs))
-                else:
-                    for idx in range(len(isum.basis[v])):
-                        consumed[off + idx] = True
-        for idx, c in enumerate(col):
-            if c and not consumed.get(idx):
-                raise ArithmeticError("unexpected component in projective-sum "
-                                      "morphism block structure")
+        mat = f.parts[lay].mats[v]
+        col = mat.col(colpos) if mat.rows else []
+        if any(col[Q.module.layers[lay].dim[v]:]):
+            raise ArithmeticError("unexpected component in projective-sum "
+                                  "morphism block structure")
+        out += [(j, l, kind, coeffs)
+                for l, kind, coeffs in _generator_blocks(q, Q, i, lay, v, col)]
     return out
 
 
@@ -733,15 +724,15 @@ def nu_lproj_morphism(P: LProjSum, Q: LProjSum, f: LModMorphism):
     contributions = []
     for (j, l, kind, coeffs) in lproj_blocks(P, Q, f):
         x, i = P.members[j]
-        y, il = Q.members[l]
+        y, _ = Q.members[l]
         if kind == "same":
             contributions.append((j, l, i, _psi_from_coeffs(q, x, y, coeffs)))
             if i < m:
-                contributions.append((j, l, i + 1,
-                                      _phi_from_coeffs(q, x, y, coeffs)))
+                contributions.append((j, l, i + 1, _from_coeffs(
+                    q, x, proj_sum_of(q, y), coeffs)))
         else:
-            contributions.append((j, l, i + 1,
-                                  _cross_from_coeffs(q, x, y, coeffs)))
+            contributions.append((j, l, i + 1, _from_coeffs(
+                q, x, inj_sum_of(q, y), coeffs)))
     nud = _assemble(nuP.module, nuQ.module, nuP, nuQ, contributions)
     return nuP, nuQ, nud
 
@@ -754,52 +745,24 @@ def linj_blocks(I0: LInjSum, I1: LInjSum, g: LModMorphism):
     for j, (x, i) in enumerate(I0.members):
         if i < m:
             # read off the generator column of the P(x) piece at layer i+1
-            psum = proj_sum_of(q, x)
             lay = i + 1
-            colpos = I0.piece_offset(j, lay, x) + psum.gen_pos(0)
-            col = g.parts[lay].mats[x].col(colpos) \
-                if g.parts[lay].mats[x].rows else []
-            for l, (y, il) in enumerate(I1.members):
-                if il == i and il < m:
-                    tsum = proj_sum_of(q, y)
-                    off = I1.piece_offset(l, lay, x)
-                    coeffs = {}
-                    for idx, (s, u) in enumerate(tsum.basis[x]):
-                        c = col[off + idx]
-                        if c:
-                            coeffs[u] = c
-                    if coeffs:
-                        out.append((j, l, "same", coeffs))
-                elif il == i + 1:
-                    tsum = inj_sum_of(q, y)
-                    off = I1.piece_offset(l, lay, x)
-                    coeffs = {}
-                    for idx, (s, u) in enumerate(tsum.basis[x]):
-                        c = col[off + idx]
-                        if c:
-                            coeffs[u] = c
-                    if coeffs:
-                        out.append((j, l, "cross", coeffs))
-        else:
-            # single-layer member: read rows at the socle coordinate of I(y)
-            for l, (y, il) in enumerate(I1.members):
-                if il != m:
-                    continue
-                isum_t = inj_sum_of(q, y)
-                isum_s = inj_sum_of(q, x)
-                rowpos = I1.piece_offset(l, m, y) + isum_t.pos[y][(0, ())]
-                mat = g.parts[m].mats[y]
-                if not mat.rows:
-                    continue
-                row = mat.data[rowpos]
-                off = I0.piece_offset(j, m, y)
-                coeffs = {}
-                for idx, (s, u) in enumerate(isum_s.basis[y]):
-                    c = row[off + idx]
-                    if c:
-                        coeffs[u] = c
-                if coeffs:
-                    out.append((j, l, "same", coeffs))
+            colpos = I0.piece_offset(j, lay, x) + proj_sum_of(q, x).gen_pos(0)
+            mat = g.parts[lay].mats[x]
+            col = mat.col(colpos) if mat.rows else []
+            out += [(j, l, kind, coeffs) for l, kind, coeffs
+                    in _generator_blocks(q, I1, i, lay, x, col)]
+            continue
+        # single-layer member: read rows at the socle coordinate of I(y)
+        mats = g.parts[m].mats
+        for l, (y, il) in enumerate(I1.members):
+            if il != m or not mats[y].rows:
+                continue
+            rowpos = I1.piece_offset(l, m, y) + inj_sum_of(q, y).pos[y][(0, ())]
+            coeffs = _piece_coeffs(mats[y].data[rowpos],
+                                   I0.piece_offset(j, m, y),
+                                   inj_sum_of(q, x).basis[y])
+            if coeffs:
+                out.append((j, l, "same", coeffs))
     return out
 
 
@@ -812,14 +775,16 @@ def nu_inv_linj_morphism(I0: LInjSum, I1: LInjSum, g: LModMorphism):
     contributions = []
     for (j, l, kind, coeffs) in linj_blocks(I0, I1, g):
         x, i = I0.members[j]
-        y, il = I1.members[l]
+        y, _ = I1.members[l]
         if kind == "same":
-            contributions.append((j, l, i, _phi_from_coeffs(q, x, y, coeffs)))
+            contributions.append((j, l, i, _from_coeffs(
+                q, x, proj_sum_of(q, y), coeffs)))
             if i > 0:
                 contributions.append((j, l, i - 1,
                                       _psi_from_coeffs(q, x, y, coeffs)))
         else:
-            contributions.append((j, l, i, _cross_from_coeffs(q, x, y, coeffs)))
+            contributions.append((j, l, i, _from_coeffs(
+                q, x, inj_sum_of(q, y), coeffs)))
     nug = _assemble(P0.module, P1.module, P0, P1, contributions)
     return P0, P1, nug
 

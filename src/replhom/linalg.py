@@ -54,7 +54,7 @@ def _int_row(row):
     return ints
 
 
-def _int_rows(data, width):
+def _int_rows(data):
     """Clear denominators row by row; returns integer rows (kernel-safe).
 
     Row scaling preserves row space, kernel and rank, and is applied across
@@ -381,7 +381,7 @@ class QMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        rows = _int_rows(self.data, self.cols)
+        rows = _int_rows(self.data)
         return len(_echelon(rows, self.cols))
 
     def kernel_basis(self, overwrite=False) -> "QMatrix":
@@ -411,7 +411,7 @@ class QMatrix:
                 rows[i] = _int_row(row)
             self.rows, self.cols, self.data = 0, 0, []
         else:
-            rows = _int_rows(self.data, ncols)
+            rows = _int_rows(self.data)
         pivots = _echelon(rows, ncols)
         pivset = set(pivots)
         free = [c for c in range(ncols) if c not in pivset]
@@ -439,7 +439,7 @@ class QMatrix:
             raise ValueError("rhs row mismatch")
         n = self.cols
         aug = [list(self.data[i]) + list(B.data[i]) for i in range(self.rows)]
-        rows = _int_rows(aug, n + B.cols)
+        rows = _int_rows(aug)
         pivots = _echelon(rows, n)
         rank = len(pivots)
         for i in range(rank, len(rows)):
@@ -464,23 +464,20 @@ class QMatrix:
         B = QMatrix.from_cols([list(b)], rows=self.rows)
         return self.solve_matrix(B).col(0)
 
-    def left_kernel(self) -> "QMatrix":
-        """Rows form a basis of {w : w M = 0}."""
-        return self.T.kernel_basis().T
-
     def cokernel_projection(self) -> "QMatrix":
         """A (rows - rank) x rows matrix C with C*M = 0 and full row rank.
 
         C projects onto a complement of the column space, so cokernel
-        dimension equals rows - rank.
+        dimension equals rows - rank.  Its rows are a basis of the left null
+        space {w : w M = 0}.
         """
-        return self.left_kernel()
+        return self.T.kernel_basis().T
 
     def column_space_basis(self) -> "QMatrix":
         """Columns: the subset of this matrix's columns at pivot positions."""
         if self.rows == 0 or self.cols == 0:
             return QMatrix(self.rows, 0)
-        rows = _int_rows(self.data, self.cols)
+        rows = _int_rows(self.data)
         pivots = _echelon(rows, self.cols)
         return QMatrix.from_cols([self.col(j) for j in pivots], rows=self.rows)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InjectiveInput, NotSupported, ProjectiveInput, ZeroModule
-from .linalg import QMatrix, frac, span_basis
+from .linalg import Echelon, QMatrix, frac, span_basis
 from .quiver import Quiver, dynkin_type
 
 _ZERO = Fraction(0)
@@ -474,19 +474,19 @@ def radical_columns(M: ARep):
 
 
 def complement_columns(span: QMatrix, dim: int):
-    """Greedy unit vectors completing the span to all of Q^dim."""
+    """Greedy unit vectors completing the span to all of Q^dim: e_i is
+    chosen, in order, exactly when it raises the rank of the span so far."""
+    ech = Echelon(dim)
+    for c in range(span.cols):
+        ech.add(span.col(c))
     chosen = []
-    cur = span
-    r = cur.rank()
     for i in range(dim):
-        if r == dim:
+        if ech.rank == dim:
             break
-        e = [[_ONE] if k == i else [_ZERO] for k in range(dim)]
-        cand = QMatrix.hstack([cur, QMatrix(dim, 1, e)])
-        rr = cand.rank()
-        if rr > r:
-            chosen.append([row[0] for row in e])
-            cur, r = cand, rr
+        e = [_ZERO] * dim
+        e[i] = _ONE
+        if ech.add(e):
+            chosen.append(e)
     return chosen
 
 
@@ -774,11 +774,8 @@ def direct_sum_areps(reps):
     """Block direct sum whose presentation and Nakayama caches are the block
     concatenations of the summands' (so connectors of layered sums align)."""
     reps = list(reps)
-    q = reps[0].quiver
-    dims = {v: sum(r.dim[v] for r in reps) for v in q.vertices}
-    mats = {a: QMatrix.block_diag([r.mats[a] for r in reps])
-            for a, _, _ in q.arrows}
-    D = ARep(q, dims, mats)
+    D = direct_sum_plain(reps)
+    q = D.quiver
     pres_list = [minimal_presentation(r) for r in reps]
     P0 = proj_sum(q, tuple(x for p in pres_list for x in p.p0.vertices))
     P1 = proj_sum(q, tuple(x for p in pres_list for x in p.p1.vertices))
@@ -790,7 +787,7 @@ def direct_sum_areps(reps):
                     for v in q.vertices})
     D._cache["pres"] = Presentation(P1, P0, d, pi)
     nds = [nu_data(r) for r in reps]
-    nuD, nu_injs, nu_projs = direct_sum_plain([nd.nuM for nd in nds])
+    nuD = direct_sum_plain([nd.nuM for nd in nds])
     nu_p0 = inj_sum(q, P0.vertices)
     proj = AMorphism(nu_p0.rep, nuD,
                      {v: QMatrix.block_diag([nd.proj.mats[v] for nd in nds])
@@ -798,39 +795,17 @@ def direct_sum_areps(reps):
     sect = {v: QMatrix.block_diag([nd.sect[v] for nd in nds])
             for v in q.vertices}
     D._cache["nu"] = NuData(nuD, nu_p0, proj, sect)
-    injs, projs = _block_embeddings(reps, D)
-    return D, injs, projs
+    return D
 
 
 def direct_sum_plain(reps):
+    """Block direct sum of the reps, summand by summand at every vertex."""
     reps = list(reps)
     q = reps[0].quiver
     dims = {v: sum(r.dim[v] for r in reps) for v in q.vertices}
     mats = {a: QMatrix.block_diag([r.mats[a] for r in reps])
             for a, _, _ in q.arrows}
-    D = ARep(q, dims, mats)
-    injs, projs = _block_embeddings(reps, D)
-    return D, injs, projs
-
-
-def _block_embeddings(reps, D):
-    q = D.quiver
-    injs, projs = [], []
-    offs = {v: 0 for v in q.vertices}
-    for r in reps:
-        imats, pmats = {}, {}
-        for v in q.vertices:
-            o, k, n = offs[v], r.dim[v], D.dim[v]
-            im = QMatrix.zeros(n, k)
-            pm = QMatrix.zeros(k, n)
-            for i in range(k):
-                im.data[o + i][i] = _ONE
-                pm.data[i][o + i] = _ONE
-            imats[v], pmats[v] = im, pm
-            offs[v] = o + k
-        injs.append(AMorphism(r, D, imats))
-        projs.append(AMorphism(D, r, pmats))
-    return injs, projs
+    return ARep(q, dims, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ class TiltingContext:
             Z = L.zero_module(self.spec)
             return [], L.LModMorphism.zero(M, Z)
         target_mods = [summands[j] for j, _ in reps]
-        D, _, _ = L.layered_direct_sum(self.spec, target_mods)
+        D = L.layered_direct_sum(self.spec, target_mods)
         f = _stack(M, D, [g for _, g in reps])
         self._assert_approximation(summands, homs, reps)
         return [j for j, _ in reps], f

@@ -103,7 +103,7 @@ def test_base_kronecker_chain(kronecker, derived):
     R0, R1, Rinf = repa.kronecker_regulars(kronecker)
     pool = repa.enumerate_ind(kronecker, bound=4)
     mods = [R0, pool[-1], R0, R1, pool[-1], Rinf]
-    M = direct_sum_plain(mods)[0]
+    M = direct_sum_plain(mods)
     for X in (M, _twist_a(M, random.Random(1))[0]):
         parts = decompose_a(X)
         assert sorted(p.dim_vector() for p in parts) == \
@@ -118,7 +118,7 @@ def test_base_d4_sums(d4, derived):
     for _ in range(4):
         picks = [pool[rng.randrange(len(pool))] for _ in range(3)]
         picks.append(picks[0])
-        parts = decompose_a(_twist_a(direct_sum_plain(picks)[0], rng)[0])
+        parts = decompose_a(_twist_a(direct_sum_plain(picks), rng)[0])
         assert sorted(p.dim_vector() for p in parts) == \
             sorted(p.dim_vector() for p in picks)
     _assert_base_parts_match(derived)
@@ -128,7 +128,7 @@ def test_layered_kronecker_m1_chain(kronecker, derived):
     ctx = TiltingContext(ReplicationSpec(kronecker, 1))
     sample = sample_faithful_exceptional(ctx, 4, 3)[-1]
     mods = sample + sample[1:2]
-    M = L.layered_direct_sum(ctx.spec, mods)[0]
+    M = L.layered_direct_sum(ctx.spec, mods)
     for X in (M, _twist_rep(M, random.Random(2))):
         parts = L.decompose_rep(X)
         assert sorted(p.dim_vector() for p in parts) == \
@@ -143,7 +143,7 @@ def test_layered_a3_m2_and_d4_m1_sums(a3, d4, derived):
         arq = ARQuiver(ReplicationSpec(q, m))
         picked = [n.module for n in arq.nodes][::step][:3]
         mods = picked + picked[:1]
-        M = L.layered_direct_sum(arq.spec, mods)[0]
+        M = L.layered_direct_sum(arq.spec, mods)
         parts = L.decompose_rep(_twist_rep(M, rng))
         assert sorted(p.dim_vector() for p in parts) == \
             sorted(p.dim_vector() for p in mods)

@@ -1,6 +1,8 @@
+import ast
 import gc
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +357,94 @@ def test_socle_matches_dual_path_action(a2, a3, two_sinks):
                         assert (mat * soc[(l, x)]).is_zero()
 
 
+def _hom_to_against_nakayama(spec, modules):
+    """Compare LProjSum.hom_to, which reads its layer below the generator
+    off dual_path_action, with the connector after the Nakayama image of
+    the base map P(x) -> N^i: for every N of modules, every P(x_i) with
+    i >= 1 and, as the generator's image, every unit vector of N^i(x) and
+    the vector (1, 2, ..., n).  Returns the number of images compared."""
+    q = spec.base
+    compared = 0
+    for N in modules:
+        for i in range(1, spec.m + 1):
+            for x in q.vertices:
+                n = N.layers[i].dim[x]
+                P = L.lproj_sum(spec, ((x, i),))
+                images = [[Fraction(int(k == r)) for k in range(n)]
+                          for r in range(n)]
+                images += [[Fraction(k + 1) for k in range(n)]] if n else []
+                for e in images:
+                    phi = repa.proj_sum_of(q, x).hom_to(N.layers[i], [e])
+                    ref = repa.compose(N.connectors[i], repa.nu_morphism(phi))
+                    h = P.hom_to(N, [e])
+                    assert h.parts[i].mats == phi.mats
+                    assert h.parts[i - 1].mats == ref.mats
+                    compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("base,m", [("a3", 2), ("d4", 1)])
+def test_lproj_hom_to_matches_the_nakayama_composite(base, m, request):
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    nodes = [node.module for node in ARQuiver(spec).nodes]
+    assert _hom_to_against_nakayama(spec, nodes) >= 50
+
+
+def test_lproj_hom_to_matches_the_nakayama_composite_kronecker(kronecker):
+    # two paths b -> a and layers of dimension 2: an action read on the
+    # wrong path or coordinate shows here
+    spec = ReplicationSpec(kronecker, 1)
+    mods = [L.projective_rep(spec, x, i) for x in kronecker.vertices
+            for i in (0, 1)]
+    mods += [L.tau_inv_rep(L.projective_rep(spec, x, 0))
+             for x in kronecker.vertices]
+    mods += [L.from_level(spec, R, 1)
+             for R in repa.kronecker_regulars(kronecker)]
+    mods.append(L.layered_direct_sum(spec, mods))
+    assert _hom_to_against_nakayama(spec, mods) >= 10
+
+
+def test_lproj_blocks_rejects_a_component_outside_the_target_sum(sp):
+    # the same and crossing pieces fill the generator's layer of the
+    # target sum, so only a map into a larger sum has an entry outside them
+    P = L.lproj_sum(sp, (("a", 0),))
+    Q = L.lproj_sum(sp, (("a", 0), ("a", 1)))
+    wider = L.lproj_sum(sp, (("a", 0), ("a", 1), ("b", 0)))
+    one = Fraction(1)
+    f = P.hom_to(wider.module, [[one, one, one]])
+    assert L.lproj_blocks(P, wider, f) == [
+        (0, 0, "same", {(): one}), (0, 1, "cross", {(): one}),
+        (0, 2, "same", {("beta",): one})]
+    with pytest.raises(ArithmeticError):
+        L.lproj_blocks(P, Q, f)
+    # zero entries past the pieces are no component
+    g = P.hom_to(wider.module, [[one, one, Fraction(0)]])
+    assert L.lproj_blocks(P, Q, g) == [(0, 0, "same", {(): one}),
+                                       (0, 1, "cross", {(): one})]
+
+
+def test_nakayama_images_only_where_a_connector_is_made_or_checked():
+    # layered reads connectors through dual_path_action; nu_morphism is
+    # left to the code that builds or checks a connector on nu(M^i)
+    tree = ast.parse(Path(L.__file__).read_text())
+    users = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "nu_morphism") \
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == "nu_morphism"):
+                users.add(where)
+            visit(child, where)
+
+    visit(tree, None)
+    assert users
+    assert users <= {"validate", "compatible", "layered_sub", "cokernel_rep"}
+
+
 def path_count(q, src, tgt):
     """Number of paths src -> tgt, by walking the arrows."""
     return int(src == tgt) + sum(path_count(q, t, tgt)
@@ -425,13 +515,13 @@ def test_is_iso_rep_a15_semisimple(sp):
     q = Quiver(vs, [(f"e{i}", vs[i + 1], vs[i]) for i in range(14)])
     spec = ReplicationSpec(q, 1)
     simples = [L.simple_rep(spec, v, l) for l in range(2) for v in vs]
-    M = L.layered_direct_sum(spec, simples)[0]
+    M = L.layered_direct_sum(spec, simples)
     assert L.is_iso_rep(M, M)
-    assert L.is_iso_rep(M, L.layered_direct_sum(spec, simples[::-1])[0])
+    assert L.is_iso_rep(M, L.layered_direct_sum(spec, simples[::-1]))
     # equal dimension vectors, not isomorphic: P(b_0) against S(a_0) + S(b_0)
     P = L.projective_rep(sp, "b", 0)
     S = L.layered_direct_sum(sp, [L.simple_rep(sp, "a", 0),
-                                  L.simple_rep(sp, "b", 0)])[0]
+                                  L.simple_rep(sp, "b", 0)])
     assert P.dim_vector() == S.dim_vector()
     assert not L.is_iso_rep(P, S)
 
@@ -512,14 +602,14 @@ def test_layered_gram_matrix_a3_m2(a3):
     arq = ARQuiver(ReplicationSpec(a3, 2))
     nodes = [n.module for n in arq.nodes]
     picked = nodes[::4]
-    total = L.layered_direct_sum(arq.spec, picked[:3] + picked[:1])[0]
+    total = L.layered_direct_sum(arq.spec, picked[:3] + picked[:1])
     _check_gram(picked + [total])
 
 
 def test_layered_gram_matrix_kronecker_m1(kronecker):
     ctx = TiltingContext(ReplicationSpec(kronecker, 1))
     sample = sample_faithful_exceptional(ctx, 6, 4)[-1]
-    total = L.layered_direct_sum(ctx.spec, sample)[0]
+    total = L.layered_direct_sum(ctx.spec, sample)
     _check_gram(sample[:2] + [total])
 
 
@@ -530,7 +620,7 @@ def test_layered_decompose_frees_its_split_parts(kronecker):
     R0, R1, _ = repa.kronecker_regulars(kronecker)
     zero = repa.ARep(kronecker, {})
     mods = [L.LayeredModule(spec, [R, zero], None) for R in (R0, R1, R0)]
-    X = L.layered_direct_sum(spec, mods)[0]
+    X = L.layered_direct_sum(spec, mods)
     gc.collect()
     gc.disable()
     try:

@@ -134,7 +134,7 @@ def test_nu_simple_at_sink(a2):
 def test_nu_simple_at_source_vanishes(a2):
     # Hom(S_b, A) = 0 forces nu S_b = 0 (independent oracle below)
     Sb = simple(a2, "b")
-    regular = direct_sum_plain([projective(a2, x) for x in a2.vertices])[0]
+    regular = direct_sum_plain([projective(a2, x) for x in a2.vertices])
     assert hom_dim(Sb, regular) == 0
     assert nu_module(Sb).is_zero()
 
@@ -167,7 +167,7 @@ def test_simple_indecomposable(a2):
 
 
 def test_double_simple_splits(a2):
-    D, _, _ = direct_sum_plain([simple(a2, "a"), simple(a2, "a")])
+    D = direct_sum_plain([simple(a2, "a"), simple(a2, "a")])
     parts = decompose_a(D)
     assert len(parts) == 2
     assert sum(p.total_dim() for p in parts) == 2
@@ -187,11 +187,11 @@ def test_decompose_reassembles(a3):
     rng = random.Random(7)
     mods = enumerate_ind(a3)
     picks = [mods[rng.randrange(len(mods))] for _ in range(3)]
-    D, _, _ = direct_sum_plain(picks)
+    D = direct_sum_plain(picks)
     parts = decompose_a(D)
     assert sorted(p.dim_vector() for p in parts) == \
         sorted(p.dim_vector() for p in picks)
-    R, _, _ = direct_sum_plain(parts)
+    R = direct_sum_plain(parts)
     assert is_iso_a(R, D)
 
 
@@ -210,7 +210,7 @@ def test_decompose_frees_its_split_parts(kronecker):
     # R0^3 + R1 splits three times; every dropped part and its cached End
     # basis must go when it is dropped, not at the next cyclic collection
     R0, R1, _ = repa.kronecker_regulars(kronecker)
-    M = direct_sum_plain([R0, R0, R1, R0])[0]
+    M = direct_sum_plain([R0, R0, R1, R0])
     garbage, parts = _cyclic_garbage(lambda: decompose_a(M))
     assert garbage == 0
     assert sorted(p.dim_vector() for p in parts) == [(1, 1)] * 4
@@ -236,8 +236,8 @@ def test_is_iso_orderings_of_a30_semisimple():
     # can say yes; the two orderings give literally equal modules
     q = linear_quiver(30)
     simples = [simple(q, v) for v in q.vertices]
-    M = direct_sum_plain(simples)[0]
-    N = direct_sum_plain(simples[::-1])[0]
+    M = direct_sum_plain(simples)
+    N = direct_sum_plain(simples[::-1])
     assert is_iso_a(M, N)
     assert is_iso_a(M, M)
 
@@ -250,8 +250,8 @@ def _sums(pool, rng, count):
         picks = [rng.randrange(len(pool)) for _ in range(rng.randint(1, 4))]
         again = rng.sample(picks, len(picks))
         out.append((tuple(sorted(picks)),
-                    direct_sum_plain([pool[i] for i in picks])[0],
-                    direct_sum_plain([pool[i] for i in again])[0]))
+                    direct_sum_plain([pool[i] for i in picks]),
+                    direct_sum_plain([pool[i] for i in again])))
     return out
 
 
@@ -274,21 +274,21 @@ def test_is_iso_matches_summand_multisets(name, request):
             equal_dim_non_iso += key != key2
     assert equal_dim_non_iso > 0
     # every member of the pool once, in two orders
-    whole = direct_sum_plain(pool)[0]
-    assert is_iso_a(whole, direct_sum_plain(pool[::-1])[0])
+    whole = direct_sum_plain(pool)
+    assert is_iso_a(whole, direct_sum_plain(pool[::-1]))
 
 
 def test_is_iso_rejects_equal_dimension_non_isomorphic(a2, kronecker):
-    Sab = direct_sum_plain([simple(a2, "a"), simple(a2, "b")])[0]
+    Sab = direct_sum_plain([simple(a2, "a"), simple(a2, "b")])
     assert Sab.dim == projective(a2, "b").dim
     assert not is_iso_a(projective(a2, "b"), Sab)
     assert not is_iso_a(Sab, projective(a2, "b"))
     R0, R1, _ = repa.kronecker_regulars(kronecker)
-    A = direct_sum_plain([R0, R0, R1])[0]
-    B = direct_sum_plain([R0, R1, R1])[0]
+    A = direct_sum_plain([R0, R0, R1])
+    B = direct_sum_plain([R0, R1, R1])
     assert A.dim == B.dim
     assert not is_iso_a(A, B)
-    assert is_iso_a(A, direct_sum_plain([R1, R0, R0])[0])
+    assert is_iso_a(A, direct_sum_plain([R1, R0, R0]))
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -1,14 +1,16 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from replhom.arquiver import ARQuiver
 from replhom.errors import TheoremViolation
-from replhom.linalg import NoSolution
+from replhom.linalg import NoSolution, QMatrix
 from replhom.quiver import ReplicationSpec
 from replhom.tilting import (TiltingContext, _stack, compatible_sets,
                              sample_faithful_exceptional)
 from replhom import layered as L
+from replhom.repa import AMorphism
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,27 @@ def test_dropping_a_rep_fails_the_approximation_check(ctx, mods):
     assert dropped >= len(T)
 
 
+def _block_inclusions(mods, D):
+    """The inclusion of each of mods into their block direct sum D: an
+    identity block at the summand's offset, per layer and vertex."""
+    offsets = {}
+    out = []
+    for M in mods:
+        parts = []
+        for l, layer in enumerate(M.layers):
+            mats = {}
+            for v in M.quiver.vertices:
+                off = offsets.get((l, v), 0)
+                block = QMatrix.zeros(D.layers[l].dim[v], layer.dim[v])
+                for r in range(layer.dim[v]):
+                    block.data[off + r][r] = Fraction(1)
+                mats[v] = block
+                offsets[(l, v)] = off + layer.dim[v]
+            parts.append(AMorphism(layer, D.layers[l], mats))
+        out.append(L.LModMorphism(M, D, parts))
+    return out
+
+
 @pytest.mark.parametrize("base,m", [("a3", 2), ("d4", 1)])
 def test_stacked_approximation_is_the_sum_of_inclusions(base, m, request):
     """f stacks the reps' vertex blocks: it equals the sum over the reps of
@@ -99,7 +122,9 @@ def test_stacked_approximation_is_the_sum_of_inclusions(base, m, request):
         reps = tctx._approximation_reps(T, [L.hom_basis_rep(M, X) for X in T])
         if not reps:
             continue
-        D, incls, _ = L.layered_direct_sum(spec, [T[j] for j, _ in reps])
+        targets = [T[j] for j, _ in reps]
+        D = L.layered_direct_sum(spec, targets)
+        incls = _block_inclusions(targets, D)
         old = None
         for (_, g), incl in zip(reps, incls):
             comp = L.lcompose(incl, g)
