@@ -4,7 +4,9 @@ Everything downstream (Hom spaces, syzygies, Ext groups) reduces to the
 kernels, ranks and solves implemented here.  Arithmetic is exact: entries are
 ``fractions.Fraction`` and elimination runs fraction-free on integer-scaled
 rows with a deterministic first-nonzero pivot, so every basis this module
-returns is reproducible.
+returns is reproducible.  Kernels, solutions and span bases are read off one
+integer reduced echelon form: each answer entry is a single quotient of two
+entries of one row, with no back-substitution in fractions.
 """
 
 from __future__ import annotations
@@ -106,6 +108,35 @@ def _echelon(rows, ncols):
     return pivots
 
 
+def _reduce_upward(rows, pivots):
+    """Finish an integer echelon form to a reduced one, in place.
+
+    Each pivot column is cleared above its row, from the last pivot up: the
+    row subtracted is then zero at every later pivot, so the columns cleared
+    before stay clear and only its nonzero entries (its pivot and non-pivot
+    columns, augmented ones included) are subtracted.  Each changed row is
+    divided by its content.  Afterwards row i is zero at every pivot column
+    but its own, so an answer entry is one quotient of two of its entries.
+    """
+    for i in range(len(pivots) - 1, 0, -1):
+        pc, prow = pivots[i], rows[i]
+        pv = prow[pc]
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        for k in range(i):
+            rk = rows[k]
+            f = rk[pc]
+            if not f:
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                rk = [x * a for x in rk]
+            for j, x in nonzero:
+                rk[j] -= b * x
+            g = gcd(*rk)
+            rows[k] = [x // g for x in rk] if g > 1 else rk
+
+
 def span_basis(vectors, n):
     """The basis QMatrix.kernel_basis gives for the span of vectors, as a
     list of columns (each vector has length n).
@@ -118,24 +149,7 @@ def span_basis(vectors, n):
     """
     rows = [_int_row(v)[::-1] for v in vectors if any(v)]
     pivots = _echelon(rows, n)
-    # clear each pivot column above its row (below it is clear already),
-    # from the last pivot up: the row subtracted is then zero at every
-    # later pivot, so the columns cleared before stay clear
-    for i in range(len(pivots) - 1, 0, -1):
-        pc, prow = pivots[i], rows[i]
-        pv = prow[pc]
-        for k in range(i):
-            rk = rows[k]
-            f = rk[pc]
-            if f:
-                for j in range(pivots[k], n):
-                    rk[j] = rk[j] * pv - f * prow[j]
-                g = 0
-                for v in rk:
-                    g = gcd(g, v)
-                if g > 1:
-                    for j in range(n):
-                        rk[j] //= g
+    _reduce_upward(rows, pivots)
     out = []
     for i in range(len(pivots) - 1, -1, -1):
         row = rows[i]
@@ -388,13 +402,14 @@ class QMatrix:
         """Columns form a basis of the right null space {v : M v = 0}.
 
         Canonical form: for each free column f (in increasing order) the
-        basis vector has a 1 at f, zeros at the other free columns, and
-        back-substituted pivot entries.  The basis depends only on the null
-        space, not on the system that cuts it out: a pivot entry depends
-        only on later entries, so the free columns are the positions where
-        null vectors can have their last nonzero entry, and the basis is
-        that space's unique echelon basis read from the last column
-        backwards (span_basis computes it from a spanning set).
+        basis vector has a 1 at f, zeros at the other free columns, and at
+        the pivot column p of row i of the reduced echelon form R the entry
+        -R[i][f] / R[i][p] (nonzero only for p < f).  The basis depends
+        only on the null space, not on the system that cuts it out: a pivot
+        entry depends only on later entries, so the free columns are the
+        positions where null vectors can have their last nonzero entry, and
+        the basis is that space's unique echelon basis read from the last
+        column backwards (span_basis computes it from a spanning set).
 
         With overwrite=True the elimination runs in this matrix's own rows,
         each replaced by its integer form as it is read, so a large system
@@ -413,20 +428,19 @@ class QMatrix:
         else:
             rows = _int_rows(self.data)
         pivots = _echelon(rows, ncols)
+        _reduce_upward(rows, pivots)
         pivset = set(pivots)
-        free = [c for c in range(ncols) if c not in pivset]
         cols = []
-        for fc in free:
+        for fc in range(ncols):
+            if fc in pivset:
+                continue
             v = [_ZERO] * ncols
             v[fc] = _ONE
-            for i in range(len(pivots) - 1, -1, -1):
-                pc = pivots[i]
-                row = rows[i]
-                s = _ZERO
-                for j in range(pc + 1, ncols):
-                    if row[j] and v[j]:
-                        s += Fraction(row[j]) * v[j]
-                v[pc] = -s / row[pc]
+            for pc, row in zip(pivots, rows):
+                if pc > fc:
+                    break
+                if row[fc]:
+                    v[pc] = Fraction(-row[fc], row[pc])
             cols.append(v)
         return QMatrix.from_cols(cols, rows=ncols)
 
@@ -445,17 +459,13 @@ class QMatrix:
         for i in range(rank, len(rows)):
             if any(rows[i][n + t] for t in range(B.cols)):
                 raise NoSolution("inconsistent linear system")
+        _reduce_upward(rows, pivots)
         xcols = []
-        for t in range(B.cols):
+        for t in range(n, n + B.cols):
             v = [_ZERO] * n
-            for i in range(rank - 1, -1, -1):
-                pc = pivots[i]
-                row = rows[i]
-                s = Fraction(row[n + t])
-                for j in range(pc + 1, n):
-                    if row[j] and v[j]:
-                        s -= Fraction(row[j]) * v[j]
-                v[pc] = s / row[pc]
+            for pc, row in zip(pivots, rows):
+                if row[t]:
+                    v[pc] = Fraction(row[t], row[pc])
             xcols.append(v)
         return QMatrix.from_cols(xcols, rows=n)
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InjectiveInput, NotSupported, ProjectiveInput, ZeroModule
-from .linalg import Echelon, QMatrix, frac, span_basis
+from .linalg import Echelon, QMatrix, _int_row, frac, span_basis
 from .quiver import Quiver, dynkin_type
 
 _ZERO = Fraction(0)
@@ -813,43 +812,111 @@ def direct_sum_plain(reps):
 # ---------------------------------------------------------------------------
 
 def char_poly(m: QMatrix):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn]."""
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn].
+
+    m is reduced by similarity to upper Hessenberg form H, and the
+    characteristic polynomials p_k of H's leading k x k minors follow from
+    p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik h_(k,k-1)...h_(i+1,i) p_(i-1)
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9):
+    O(n^3) Fraction operations."""
     n = m.rows
-    coeffs = [_ONE]
-    Mk = QMatrix.zeros(n, n)
-    ident = QMatrix.identity(n)
-    for k in range(1, n + 1):
-        Mk = m * (Mk + ident.scale(coeffs[-1])) if k > 1 else m.copy()
-        ck = -Mk.trace() / k
-        coeffs.append(ck)
-    return coeffs
+    H = [list(row) for row in m.data]
+    for k in range(1, n - 1):
+        r = next((r for r in range(k, n) if H[r][k - 1]), None)
+        if r is None:
+            continue
+        if r != k:
+            H[r], H[k] = H[k], H[r]
+            for row in H:
+                row[r], row[k] = row[k], row[r]
+        pk, t = H[k], H[k][k - 1]
+        for i in range(k + 1, n):
+            u = H[i][k - 1] / t
+            if u:
+                hi = H[i]
+                for j in range(k - 1, n):
+                    if pk[j]:
+                        hi[j] -= u * pk[j]
+                for row in H:
+                    if row[i]:
+                        row[k] += u * row[i]
+    # p[k] lists the coefficients of p_k, lowest degree first
+    p = [[_ONE]]
+    for k in range(n):
+        nxt = [_ZERO] + p[k]
+        for d, c in enumerate(p[k]):
+            nxt[d] -= H[k][k] * c
+        t = _ONE
+        for i in range(k - 1, -1, -1):
+            t *= H[i + 1][i]
+            if not t:
+                break
+            f = H[i][k] * t
+            if f:
+                for d, c in enumerate(p[i]):
+                    nxt[d] -= f * c
+        p.append(nxt)
+    return p[n][::-1]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b, Fraction coefficients highest
+    degree first (b's leading one nonzero); the remainder's leading zeros
+    are stripped."""
+    a, quot = list(a), []
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        quot.append(q)
+        if q:
+            for i in range(1, len(b)):
+                a[i] -= q * b[i]
+        a.pop(0)
+    while a and not a[0]:
+        a.pop(0)
+    return quot, a
+
+
+def _divisors(x):
+    """The positive divisors of x != 0, by trial division up to sqrt|x|."""
+    x = abs(x)
+    small, large = [], []
+    d = 1
+    while d * d <= x:
+        if x % d == 0:
+            small.append(d)
+            if d * d != x:
+                large.append(x // d)
+        d += 1
+    return small + large[::-1]
 
 
 def rational_roots(coeffs):
-    """All rational roots of the polynomial with the given coefficients."""
-    lcm = 1
-    for c in coeffs:
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs]
-    while len(ints) > 1 and ints[0] == 0:
-        ints = ints[1:]
-    roots = set()
-    if all(c == 0 for c in ints):
+    """All rational roots of the polynomial with the given coefficients
+    (highest degree first), sorted.
+
+    The candidates p/q of the rational root theorem are read off the
+    square-free part f / gcd(f, f'), which has the same roots and, for a
+    repeated root such as that of a scalar block, far smaller coefficients.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    if all(c == 0 for c in coeffs):
         return [_ZERO]
-    while ints[-1] == 0:
+    roots = set()
+    while coeffs[-1] == 0:
         roots.add(_ZERO)
-        ints = ints[:-1]
-    if len(ints) > 1:
+        coeffs = coeffs[:-1]
+    if len(coeffs) > 1:
+        deg = len(coeffs) - 1
+        deriv = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+        a, b = coeffs, deriv
+        while b:
+            a, b = b, _poly_divmod(a, b)[1]
+        ints = _int_row(_poly_divmod(coeffs, a)[0])
         lead, const = ints[0], ints[-1]
-
-        def divisors(x):
-            x = abs(x)
-            out = [i for i in range(1, x + 1) if x % i == 0]
-            return out
-
-        for p in divisors(const):
-            for qd in divisors(lead):
+        for p in _divisors(const):
+            for qd in _divisors(lead):
                 for cand in (Fraction(p, qd), Fraction(-p, qd)):
                     acc = _ZERO
                     for c in ints:

@@ -232,20 +232,25 @@ class TiltingContext:
         """
         summands = list(summands)
         homs = [L.hom_basis_rep(M, T) for T in summands]
-        reps = self._approximation_reps(summands, homs)
+        composites = {}
+        reps = self._approximation_reps(summands, homs, composites)
         if not reps:
             Z = L.zero_module(self.spec)
             return [], L.LModMorphism.zero(M, Z)
         target_mods = [summands[j] for j, _ in reps]
         D = L.layered_direct_sum(self.spec, target_mods)
         f = _stack(M, D, [g for _, g in reps])
-        self._assert_approximation(summands, homs, reps)
+        self._assert_approximation(summands, homs, reps, composites)
         return [j for j, _ in reps], f
 
-    def _approximation_reps(self, summands, homs):
+    def _approximation_reps(self, summands, homs, composites=None):
         """(j, g) for the chosen g in homs[j] = Hom(M, T_j): a basis of
         Hom(M, T_j) modulo the maps that factor through a radical map into
-        T_j, kept in basis order."""
+        T_j, kept in basis order.  The vector of each composite h g with h
+        in Hom(T_j2, T_j), j2 != j, is left in composites under (h, g) for
+        _assert_approximation."""
+        if composites is None:
+            composites = {}
         reps = []
         for j, T in enumerate(summands):
             V = homs[j]
@@ -263,22 +268,32 @@ class TiltingContext:
                     rads = L.hom_basis_rep(T2, T)
                 for h in rads:
                     for g in homs[j2]:
-                        span.add(_composite_vector(h, g))
+                        vec = _composite_vector(h, g)
+                        if j2 != j:
+                            composites[h, g] = vec
+                        span.add(vec)
             for g in V:
                 if span.add(_vectorize(g)):
                     reps.append((j, g))
         return reps
 
-    def _assert_approximation(self, summands, homs, reps):
+    def _assert_approximation(self, summands, homs, reps, composites=None):
         """Every map M -> summand must factor through the approximation
-        (solved exactly, all of Hom(M, T_j) in one system per target)."""
+        (solved exactly, all of Hom(M, T_j) in one system per target).  A
+        column h g already built by _approximation_reps is read from
+        composites, keyed by (h, g)."""
+        if composites is None:
+            composites = {}
         for j, T in enumerate(summands):
             targets = [t for t in map(_vectorize, homs[j]) if any(t)]
             if not targets:
                 continue
-            cols = [_composite_vector(h, g2)
-                    for j2, g2 in reps
-                    for h in L.hom_basis_rep(summands[j2], T)]
+            cols = []
+            for j2, g2 in reps:
+                for h in L.hom_basis_rep(summands[j2], T):
+                    vec = composites.get((h, g2))
+                    cols.append(_composite_vector(h, g2) if vec is None
+                                else vec)
             if not cols:
                 raise TheoremViolation(
                     "minimal approximation misses a morphism")

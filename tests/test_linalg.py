@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from replhom.linalg import Echelon, NoSolution, QMatrix, span_basis
+from replhom.linalg import (Echelon, NoSolution, QMatrix, _echelon, _int_row,
+                            _int_rows, span_basis)
 
 
 def gauss_oracle(rows, ncols):
@@ -208,3 +210,165 @@ def test_echelon_add_matches_rank():
 def test_echelon_rejects_a_wrong_length():
     with pytest.raises(ValueError):
         Echelon(3).add([1, 2])
+
+
+# -- reduced echelon readers against Fraction back-substitution ---------------
+#
+# The references below run the same forward elimination and then the
+# Fraction back-substitution (and the separate upward pass of span_basis)
+# the library used before it read answers off one reduced echelon form.
+
+def back_substitution_kernel(m):
+    if m.cols == 0:
+        return QMatrix(0, 0)
+    if m.rows == 0:
+        return QMatrix.identity(m.cols)
+    ncols = m.cols
+    rows = _int_rows(m.data)
+    pivots = _echelon(rows, ncols)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    cols = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            pc, row = pivots[i], rows[i]
+            s = Fraction(0)
+            for j in range(pc + 1, ncols):
+                if row[j] and v[j]:
+                    s += Fraction(row[j]) * v[j]
+            v[pc] = -s / row[pc]
+        cols.append(v)
+    return QMatrix.from_cols(cols, rows=ncols)
+
+
+def back_substitution_solve(m, B):
+    n = m.cols
+    aug = [list(m.data[i]) + list(B.data[i]) for i in range(m.rows)]
+    rows = _int_rows(aug)
+    pivots = _echelon(rows, n)
+    rank = len(pivots)
+    for i in range(rank, len(rows)):
+        if any(rows[i][n + t] for t in range(B.cols)):
+            raise NoSolution("inconsistent linear system")
+    xcols = []
+    for t in range(B.cols):
+        v = [Fraction(0)] * n
+        for i in range(rank - 1, -1, -1):
+            pc, row = pivots[i], rows[i]
+            s = Fraction(row[n + t])
+            for j in range(pc + 1, n):
+                if row[j] and v[j]:
+                    s -= Fraction(row[j]) * v[j]
+            v[pc] = s / row[pc]
+        xcols.append(v)
+    return QMatrix.from_cols(xcols, rows=n)
+
+
+def upward_pass_span_basis(vectors, n):
+    rows = [_int_row(v)[::-1] for v in vectors if any(v)]
+    pivots = _echelon(rows, n)
+    for i in range(len(pivots) - 1, 0, -1):
+        pc, prow = pivots[i], rows[i]
+        pv = prow[pc]
+        for k in range(i):
+            rk = rows[k]
+            f = rk[pc]
+            if f:
+                for j in range(pivots[k], n):
+                    rk[j] = rk[j] * pv - f * prow[j]
+                g = 0
+                for v in rk:
+                    g = gcd(g, v)
+                if g > 1:
+                    for j in range(n):
+                        rk[j] //= g
+    out = []
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        pv = row[pivots[i]]
+        out.append([Fraction(x, pv) for x in reversed(row)])
+    return out
+
+
+def _random_matrix(rng, r, c):
+    """A seeded random rational r x c matrix: sparse or dense, with some
+    rows and columns zeroed and some rows combinations of others."""
+    density = rng.choice((0.2, 0.5, 1.0))
+    data = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+             if rng.random() < density else Fraction(0) for _ in range(c)]
+            for _ in range(r)]
+    for i in range(r):
+        if rng.random() < 0.15:
+            data[i] = [Fraction(0)] * c
+        elif i >= 2 and rng.random() < 0.3:
+            a, b = rng.randint(-2, 2), Fraction(rng.randint(1, 3), 2)
+            data[i] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    for j in range(c):
+        if rng.random() < 0.15:
+            for row in data:
+                row[j] = Fraction(0)
+    return QMatrix(r, c, data or None)
+
+
+def _shapes(rng):
+    yield from [(0, 3), (3, 0), (0, 0), (1, 1), (5, 5), (4, 9), (9, 4)]
+    for _ in range(250):
+        yield rng.randint(1, 9), rng.randint(1, 9)
+
+
+def test_kernel_basis_matches_back_substitution():
+    rng = random.Random(101)
+    kinds = set()
+    for r, c in _shapes(rng):
+        m = _random_matrix(rng, r, c)
+        ker = m.kernel_basis()
+        assert ker == back_substitution_kernel(m)
+        assert all(type(x) is Fraction for row in ker.data for x in row)
+        rank = m.rank()
+        kinds.add("zero" if rank == 0 else "full" if rank == c else "partial")
+    assert kinds == {"zero", "partial", "full"}
+
+
+def test_solve_matrix_matches_back_substitution():
+    rng = random.Random(102)
+    for r, c in _shapes(rng):
+        if r == 0:
+            continue
+        m = _random_matrix(rng, r, c)
+        k = rng.randint(1, 4)
+        x = QMatrix(c, k, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(k)] for _ in range(c)] or None)
+        B = m * x
+        sol = m.solve_matrix(B)
+        assert sol == back_substitution_solve(m, B)
+        assert m * sol == B
+    full = QMatrix(4, 4, [[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1],
+                          [1, 1, 1, 5]])
+    B = QMatrix(4, 3, [[1, 0, "1/2"], [0, 1, 0], [0, 0, -1], [3, 0, 0]])
+    assert full.solve_matrix(B) == back_substitution_solve(full, B)
+    assert full * full.solve_matrix(B) == B
+
+
+def test_solve_matrix_rejects_an_inconsistent_column():
+    # row 2 is row 0 plus row 1, so a right-hand side must satisfy the same
+    m = QMatrix(3, 3, [[1, 2, 3], [0, 1, 4], [1, 3, 7]])
+    good = [[1], [2], [3]]
+    B = QMatrix(3, 2, [g + [x] for g, x in zip(good, [1, 2, 4])])
+    with pytest.raises(NoSolution):
+        m.solve_matrix(B)
+    with pytest.raises(NoSolution):
+        back_substitution_solve(m, B)
+    assert m.solve_matrix(QMatrix(3, 1, good)) == \
+        back_substitution_solve(m, QMatrix(3, 1, good))
+
+
+def test_span_basis_matches_its_upward_pass():
+    rng = random.Random(103)
+    for r, c in _shapes(rng):
+        if c == 0:
+            continue
+        m = _random_matrix(rng, r, c)
+        vecs = [list(row) for row in m.data]
+        assert span_basis(vecs, c) == upward_pass_span_basis(vecs, c)
+    assert span_basis([[Fraction(0)] * 3], 3) == []

@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
@@ -474,3 +475,114 @@ def test_gram_matrix_rejects_mismatched_blocks(a2):
     assert there
     with pytest.raises(ValueError):
         repa._gram_matrix(there, there, repa._A_HOOKS.vertex_blocks)
+
+
+# -- characteristic polynomial and rational roots ------------------------------
+
+def faddeev_leverrier(m):
+    """The Faddeev-LeVerrier characteristic polynomial [1, c1, ..., cn]
+    (n products of n x n matrices), the library's routine before the
+    Hessenberg reduction."""
+    n = m.rows
+    coeffs = [Fraction(1)]
+    Mk = QMatrix.zeros(n, n)
+    ident = QMatrix.identity(n)
+    for k in range(1, n + 1):
+        Mk = m * (Mk + ident.scale(coeffs[-1])) if k > 1 else m.copy()
+        coeffs.append(-Mk.trace() / k)
+    return coeffs
+
+
+def divisor_scan_roots(coeffs):
+    """Rational roots by the rational root theorem, with divisors listed by
+    scanning 1..|c|: the library's routine before the square-free part."""
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in coeffs]
+    while len(ints) > 1 and ints[0] == 0:
+        ints = ints[1:]
+    if all(c == 0 for c in ints):
+        return [Fraction(0)]
+    roots = set()
+    while ints[-1] == 0:
+        roots.add(Fraction(0))
+        ints = ints[:-1]
+    if len(ints) > 1:
+        def divisors(x):
+            return [i for i in range(1, abs(x) + 1) if x % i == 0]
+        for p in divisors(ints[-1]):
+            for qd in divisors(ints[0]):
+                for cand in (Fraction(p, qd), Fraction(-p, qd)):
+                    acc = Fraction(0)
+                    for c in ints:
+                        acc = acc * cand + c
+                    if acc == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _random_square(rng, n):
+    return QMatrix(n, n, [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                           if rng.random() < 0.6 else Fraction(0)
+                           for _ in range(n)] for _ in range(n)])
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = random.Random(41)
+    cases = [QMatrix(1, 1, [["-5/3"]]), QMatrix(2, 2, [[1, 2], [3, 4]]),
+             QMatrix(2, 2, [[0, 1], [0, 0]]), QMatrix(2, 2, [[2, 0], [0, 2]]),
+             # H[1][0] = 0 but H[2][0] != 0: the reduction swaps rows 1, 2
+             QMatrix(3, 3, [[1, 2, 3], [0, 4, 5], [6, 7, 8]]),
+             QMatrix(4, 4, [[1, 1, 0, 2], [0, 3, 1, 0], [0, 0, 2, 1],
+                            [5, 0, 1, 1]]),
+             # block upper triangular: a zero subdiagonal entry stays zero
+             QMatrix(4, 4, [[1, 2, 5, 6], [3, 4, 7, 8], [0, 0, 9, 1],
+                            [0, 0, 2, 3]]),
+             QMatrix.zeros(3, 3), QMatrix.identity(5).scale(7)]
+    cases += [_random_square(rng, rng.randint(1, 8)) for _ in range(150)]
+    for m in cases:
+        before = m.copy()
+        coeffs = repa.char_poly(m)
+        assert coeffs == faddeev_leverrier(m)
+        assert all(type(c) is Fraction for c in coeffs)
+        assert m == before
+
+
+def test_rational_roots_of_a_scalar_block():
+    assert repa.rational_roots(
+        repa.char_poly(QMatrix.identity(12).scale(7))) == [Fraction(7)]
+    assert repa.rational_roots(
+        repa.char_poly(QMatrix.identity(27).scale(7))) == [Fraction(7)]
+
+
+def test_rational_roots_match_the_divisor_scan():
+    rng = random.Random(43)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = _random_square(rng, n)
+        if rng.random() < 0.4:      # triangular: every eigenvalue rational
+            for i in range(n):
+                for j in range(i):
+                    m.data[i][j] = Fraction(0)
+        coeffs = repa.char_poly(m)
+        roots = repa.rational_roots(coeffs)
+        assert roots == divisor_scan_roots(coeffs)
+        found += len(roots)
+    assert found > 100
+    assert repa.rational_roots([Fraction(0)] * 3) == [Fraction(0)]
+
+
+@pytest.mark.slow
+def test_is_iso_orderings_of_thirty_kronecker_regulars(kronecker):
+    # the sum of the pairwise orthogonal regulars R_lambda, lambda = 0..29,
+    # in two orderings: no basis element of Hom is invertible, so only the
+    # exact fallback on one large commuting-square system can say yes
+    (a1, _, _), (a2, _, _) = kronecker.arrows
+    regulars = [ARep(kronecker, {v: 1 for v in kronecker.vertices},
+                     {a1: QMatrix(1, 1, [[1]]), a2: QMatrix(1, 1, [[lam]])})
+                for lam in range(30)]
+    M = direct_sum_plain(regulars)
+    N = direct_sum_plain(regulars[::-1])
+    assert is_iso_a(M, N)
