@@ -88,8 +88,13 @@ class LayeredModule:
         return self.total_dim() == 0
 
     def dim_vector(self):
-        """Flat dimension vector ordered by (level, base vertex order)."""
-        return tuple(l.dim[v] for l in self.layers for v in self.quiver.vertices)
+        """Flat dimension vector ordered by (level, base vertex order),
+        cached on the module."""
+        dv = self._cache.get("dim_vector")
+        if dv is None:
+            dv = self._cache["dim_vector"] = tuple(
+                l.dim[v] for l in self.layers for v in self.quiver.vertices)
+        return dv
 
     def layer_support(self):
         return tuple(i for i, l in enumerate(self.layers) if not l.is_zero())

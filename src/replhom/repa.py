@@ -1097,16 +1097,19 @@ def generic_decompose(M, hooks: SplitHooks):
 def generic_is_iso(M, N, hooks: SplitHooks) -> bool:
     """Whether M and N are isomorphic, decided exactly.
 
-    After the shortcuts (dimension vectors, zero module, empty Hom(M, N), an
-    invertible basis element of Hom(M, N)) it compares ranks of trace
-    pairings: r(X, Y) is the rank of (f, g) -> tr(g f) on Hom(X, Y) x
-    Hom(Y, X).  Composites through radical morphisms are nilpotent, so
-    with M = sum X_i^a_i and N = sum X_i^b_i, r(M, N) = sum a_i b_i d_i
-    (d_i = dim End(X_i)/rad, the trace form being nondegenerate in
-    characteristic zero).  By Cauchy-Schwarz r(M, N)^2 = r(M, M) r(N, N)
-    iff a and b are proportional, and equal dimension vectors make them
-    equal.  For indecomposable M the rule says the pairing is nonzero.
+    After the shortcuts (the same object, dimension vectors, zero module,
+    empty Hom(M, N), an invertible basis element of Hom(M, N)) it compares
+    ranks of trace pairings: r(X, Y) is the rank of (f, g) -> tr(g f) on
+    Hom(X, Y) x Hom(Y, X).  Composites through radical morphisms are
+    nilpotent, so with M = sum X_i^a_i and N = sum X_i^b_i,
+    r(M, N) = sum a_i b_i d_i (d_i = dim End(X_i)/rad, the trace form being
+    nondegenerate in characteristic zero).  By Cauchy-Schwarz
+    r(M, N)^2 = r(M, M) r(N, N) iff a and b are proportional, and equal
+    dimension vectors make them equal.  For indecomposable M the rule says
+    the pairing is nonzero.
     """
+    if M is N:
+        return True
     if M.dim_vector() != N.dim_vector():
         return False
     if M.total_dim() == 0:

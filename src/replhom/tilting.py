@@ -2,11 +2,16 @@
 
 Exceptionality is self-Ext vanishing up to the global dimension horizon
 2m+1; faithfulness is decided twice (annihilator rank, and presence of every
-projective-injective summand) and the two verdicts must agree.  Minimal left
-approximations drive the coresolution chain of the regular module, which
-yields both the tilting test and the complement construction; on a
-representation-finite base the complement falls back to exhaustive search
-over the AR quiver.
+projective-injective summand) and the two verdicts must agree.  The
+annihilator rank is that of the stacked row bases of the summands' systems,
+each an integer basis cached on its module.  Minimal left approximations
+drive the coresolution chain of the regular module, which yields both the
+tilting test and the complement construction.  A summand of the regular
+module that lies in add T approximates to itself, so the tilting test
+coresolves only the projectives outside add T; the complement over a
+representation-infinite base keeps the chain of the whole regular module.
+On a representation-finite base the complement falls back to exhaustive
+search over the AR quiver.
 
 An approximation picks its representatives of Hom(M, T_j) modulo radical
 maps against one echelon form per target T_j, and is then checked exactly:
@@ -116,13 +121,18 @@ class TiltingContext:
 
     # -- faithfulness -------------------------------------------------------------
 
-    def _algebra_basis_actions(self, M: L.LayeredModule):
-        """Action of every algebra basis element on M, flattened as entries
-        of the total-space operator (so columns align across elements);
-        cached on M, so callers must not mutate the vectors."""
-        cols = M._cache.get("basis_actions")
-        if cols is not None:
-            return cols
+    def _annihilator_rows(self, M: L.LayeredModule):
+        """An integer row basis of M's annihilator system, cached on M.
+
+        The system has one column per algebra basis element (algebra_dim()
+        in all) and one row per entry of the total-space operator, the row
+        holding that entry of every element's action; its rank is
+        algebra_dim() minus the dimension of the annihilator of M.  The
+        basis has at most algebra_dim() rows: never mutate them.
+        """
+        rows = M._cache.get("annihilator_rows")
+        if rows is not None:
+            return rows
         q = self.spec.base
         paths = q.paths()
         m = self.spec.m
@@ -131,31 +141,38 @@ class TiltingContext:
             for v in q.vertices:
                 offs[(i, v)] = D
                 D += M.layers[i].dim[v]
+        n = self.algebra_dim()
+        entries = {}            # operator entry -> its row of the system
 
-        def embedded(mat, row_site, col_site):
-            vec = [_ZERO] * (D * D)
+        def place(k, mat, row_site, col_site):
             ro, co = offs[row_site], offs[col_site]
-            for r in range(mat.rows):
-                for c in range(mat.cols):
-                    if mat.data[r][c]:
-                        vec[(ro + r) * D + (co + c)] = mat.data[r][c]
-            return vec
+            for r, row in enumerate(mat.data):
+                for c, x in enumerate(row):
+                    if x:
+                        key = (ro + r) * D + co + c
+                        if key not in entries:
+                            entries[key] = [_ZERO] * n
+                        entries[key][k] = x
 
-        cols = []
+        k = 0
         for i in range(m + 1):
             for x in q.vertices:
                 for y in q.vertices:
                     for p in paths[(x, y)]:
-                        mat = M.layers[i].path_matrix(x, p)
-                        cols.append(embedded(mat, (i, y), (i, x)))
+                        place(k, M.layers[i].path_matrix(x, p), (i, y), (i, x))
+                        k += 1
         for i in range(1, m + 1):
             for x in q.vertices:
                 for y in q.vertices:
                     for p in paths[(x, y)]:
-                        mat = L.dual_path_action(M, i, p, x, y)
-                        cols.append(embedded(mat, (i - 1, x), (i, y)))
-        M._cache["basis_actions"] = cols
-        return cols
+                        place(k, L.dual_path_action(M, i, p, x, y),
+                              (i - 1, x), (i, y))
+                        k += 1
+        span = Echelon(n)
+        for vec in entries.values():
+            span.add(vec)
+        rows = M._cache["annihilator_rows"] = list(span.pivots.values())
+        return rows
 
     def algebra_dim(self) -> int:
         q = self.spec.base
@@ -170,21 +187,15 @@ class TiltingContext:
         exceptional candidates.
         """
         summands = list(summands)
-        per_element = None
-        for M in summands:
-            acts = self._algebra_basis_actions(M)
-            if per_element is None:
-                per_element = [list(a) for a in acts]
-            else:
-                for col, a in zip(per_element, acts):
-                    col.extend(a)
-        if per_element is None:
+        if not summands:
             return False
-        # one row per entry of the operators that some element moves: the
-        # rows left out are zero and do not change the rank
-        rows = [r for r in zip(*per_element) if any(r)]
-        system = QMatrix(len(rows), len(per_element), rows or None)
-        by_annihilator = system.rank() == self.algebra_dim()
+        # the system of the direct sum stacks the summands' systems, so its
+        # rank is that of their stacked row bases
+        span = Echelon(self.algebra_dim())
+        for M in summands:
+            for row in self._annihilator_rows(M):
+                span.add(row)
+        by_annihilator = span.rank == self.algebra_dim()
         if check_agreement is None:
             check_agreement = self.is_exceptional(summands)
         if check_agreement:
@@ -193,6 +204,13 @@ class TiltingContext:
                     "annihilator and projective-injective-summand "
                     "faithfulness criteria disagree")
         return by_annihilator
+
+    def sites_outside(self, summands):
+        """The sites (x, i), in proj_sites order, whose projective P(x, i)
+        is isomorphic to no summand."""
+        return tuple(site for site in self.proj_sites
+                     if not any(L.is_iso_rep(self.projectives[site], s)
+                                for s in summands))
 
     def has_all_proj_inj(self, summands) -> bool:
         return all(any(L.is_iso_rep(p, s) for s in summands)
@@ -303,8 +321,9 @@ class TiltingContext:
 
     # -- approximation chain -------------------------------------------------------
 
-    def approximation_chain(self, summands, max_steps=None):
-        """Iterated minimal approximations of the regular module.
+    def approximation_chain(self, summands, max_steps=None, start=None):
+        """Iterated minimal approximations of start, by default the regular
+        module.
 
         Runs until the cokernel vanishes, an approximation fails to be a
         monomorphism (ChainStalled outcome), or the step bound; by default
@@ -313,7 +332,7 @@ class TiltingContext:
         summands = list(summands)
         if max_steps is None:
             max_steps = ext_horizon(self.spec)
-        A = self.regular.module
+        A = self.regular.module if start is None else start
         chain = ApproximationChain(start=A, steps=[], stalled=None,
                                    completed=False)
         cur = A
@@ -336,17 +355,24 @@ class TiltingContext:
     def is_tilting(self, summands) -> bool:
         """Exceptional with an add-T coresolution of the regular module.
 
-        The counting shortcut (basic + faithful + pd <= m + rank-many
-        summands) is asserted equivalent whenever its hypotheses hold.
+        A minimal left approximation of a module in add T is an isomorphism,
+        and minimal approximations are additive, so the chain of A = sum of
+        the P(x, i) completes exactly when the chain of the P(x, i) outside
+        add T does; only those are coresolved.  The counting shortcut
+        (basic + faithful + pd <= m + rank-many summands) is asserted
+        equivalent whenever its hypotheses hold.
         """
         summands = self.basic(summands)
         n_rank = self.spec.base.n * (self.spec.m + 1)
         if not self.is_exceptional(summands):
             return False
-        chain = self.approximation_chain(summands)
+        rest = self.sites_outside(summands)
+        chain = self.approximation_chain(
+            summands, start=L.lproj_sum(self.spec, rest).module)
         primary = chain.completed
+        # faithful: every projective-injective P(x, i), i >= 1, is in add T
         if (len(summands) == n_rank and self.pd(summands) <= self.spec.m
-                and self.has_all_proj_inj(summands)):
+                and all(i == 0 for _, i in rest)):
             if not primary:
                 raise TheoremViolation(
                     "counting criterion predicts a tilting module but no "

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from replhom.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -234,3 +240,53 @@ def test_kronecker_dim_needs_the_kronecker_quiver(a2_file, capsys):
                        "--kronecker-dim", "4")
     assert code == 2
     assert json.loads(err)["error"] == "NotSupported"
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_replhom_matches_main(a2_file, capsys):
+    code, stdout, _ = run(capsys, "verify", "--quiver", a2_file, "--m", "1")
+    result = subprocess.run(
+        [sys.executable, "-m", "replhom", "verify", "--quiver", a2_file,
+         "--m", "1"], env=_subprocess_env(), capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == code == 0, result.stderr
+    assert result.stdout == stdout
+
+
+# E6 m = 1 verify peaked at 189 MB of RSS with the row-basis faithfulness
+# test and the chain from the projectives outside add T, and at 235 MB
+# before them (Linux x86-64, CPython 3.11); the bound leaves 15% room
+E6_VERIFY_PEAK_MB = 217
+
+_PEAK_PROBE = ("import resource, subprocess, sys; "
+               "code = subprocess.run(sys.argv[1:], "
+               "stdout=subprocess.DEVNULL).returncode; "
+               "print(code, resource.getrusage("
+               "resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+@pytest.mark.slow
+def test_verify_e6_m1_peak_memory(tmp_path):
+    """E6 m = 1 verify in a fresh interpreter stays under its peak-RSS
+    bound.  A probe process runs it, so that RUSAGE_CHILDREN sees that run
+    alone."""
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps({
+        "vertices": ["1", "2", "3", "4", "5", "6"],
+        "arrows": [{"id": a, "src": s, "tgt": t} for a, s, t in
+                   [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                    ("d", "4", "5"), ("e", "6", "3")]],
+    }))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, sys.executable, "-m", "replhom",
+         "verify", "--quiver", str(path), "--m", "1"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=1800)
+    code, peak_kb = result.stdout.split()
+    assert code == "0", result.stderr
+    assert int(peak_kb) / 1024 <= E6_VERIFY_PEAK_MB

@@ -1,5 +1,7 @@
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -326,3 +328,199 @@ def test_compatible_sets_ask_each_verdict_once():
     assert {(c, c) for c in range(7)} <= set(asked)
     assert all(a <= b for a, b in (k for k in asked if isinstance(k, tuple)))
     assert len(got) == 19
+
+
+# -- the chain from the projectives outside add T ---------------------------------
+
+def _reduced_chain_cases(q, m, stride=1):
+    """For every compatible set T of AR nodes up to rank (every stride-th
+    in enumeration order), is_tilting(T) must equal the verdict of the
+    chain of the full regular module.  Returns how often the reduced chain
+    started from a projective-injective, from layer-0 projectives alone, or
+    from nothing, and how many T were tilting."""
+    spec = ReplicationSpec(q, m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    mods = [node.module for node in arq.nodes]
+    rank = q.n * (m + 1)
+    seen = Counter()
+    sets = compatible_sets(
+        len(mods), lambda a, b: tctx.compatible(mods[a], mods[b]), rank)
+    for idxs in islice(sets, 0, None, stride):
+        T = tctx.basic([mods[i] for i in idxs])
+        assert tctx.is_exceptional(T)
+        full = tctx.approximation_chain(T)
+        assert full.start is tctx.regular.module
+        tilting = tctx.is_tilting(T)
+        assert tilting == full.completed, idxs
+        rest = tctx.sites_outside(T)
+        if not rest:
+            seen["empty start"] += 1
+        elif any(i for _, i in rest):
+            seen["projective-injective in start"] += 1
+        else:
+            seen["layer-0 start"] += 1
+        seen["tilting"] += tilting
+    return seen
+
+
+@pytest.mark.parametrize("base,m", [("a2", 1), ("a3", 1)])
+def test_reduced_chain_agrees_with_the_full_chain(base, m, request):
+    seen = _reduced_chain_cases(request.getfixturevalue(base), m)
+    assert seen["empty start"] == 1    # the regular module itself
+    assert seen["projective-injective in start"] > 0
+    assert seen["layer-0 start"] > 0
+    assert seen["tilting"] == {"a2": 9, "a3": 43}[base]
+
+
+def test_reduced_chain_agrees_on_a3_m2_sample(a3):
+    """Every 50th of the 23,039 compatible sets of A3 with m = 2."""
+    seen = _reduced_chain_cases(a3, 2, stride=50)
+    assert seen["projective-injective in start"] > 0
+    assert seen["layer-0 start"] > 0
+    assert seen["tilting"] > 0
+
+
+@pytest.mark.slow
+def test_reduced_chain_agrees_with_the_full_chain_a3_m2(a3):
+    """All 23,039 compatible sets of A3 with m = 2."""
+    seen = _reduced_chain_cases(a3, 2)
+    assert seen["empty start"] == 1
+    assert seen["projective-injective in start"] > 0
+    assert seen["layer-0 start"] > 0
+    assert seen["tilting"] == 200
+
+
+def test_reduced_chain_start_sites(ctx, mods):
+    projectives = [mods["a0"], mods["b0/a0"], mods["a1/b0/a0"],
+                   mods["b1/a1/b0"]]
+    assert ctx.sites_outside(projectives) == ()
+    chain = ctx.approximation_chain(
+        projectives, start=L.lproj_sum(ctx.spec, ()).module)
+    assert chain.completed and chain.steps == []
+    # missing the projective-injective P(b, 1): the chain starts from it
+    T = [mods["a1/b0/a0"], mods["b0/a0"], mods["a0"]]
+    assert ctx.sites_outside(T) == (("b", 1),)
+    assert not ctx.is_tilting(T)
+    assert ctx.sites_outside([mods["a1/b0/a0"], mods["b1/a1/b0"]]) == \
+        (("a", 0), ("b", 0))
+
+
+def test_counting_criterion_catches_a_chain_that_does_not_complete(
+        ctx, mods, monkeypatch):
+    T = [mods["a0"], mods["b0/a0"], mods["a1/b0/a0"], mods["b1/a1/b0"]]
+    real = ctx.approximation_chain
+
+    def not_completed(summands, max_steps=None, start=None):
+        chain = real(summands, max_steps, start)
+        chain.completed = False
+        return chain
+
+    monkeypatch.setattr(ctx, "approximation_chain", not_completed)
+    with pytest.raises(TheoremViolation, match="counting criterion"):
+        ctx.is_tilting(T)
+
+
+# -- faithfulness from cached row bases --------------------------------------------
+
+def _basis_actions(tctx, M):
+    """Action of every algebra basis element on M, flattened as entries of
+    the total-space operator (the reference's dense columns)."""
+    q = tctx.spec.base
+    paths = q.paths()
+    m = tctx.spec.m
+    offs, D = {}, 0
+    for i in range(m + 1):
+        for v in q.vertices:
+            offs[(i, v)] = D
+            D += M.layers[i].dim[v]
+
+    def embedded(mat, row_site, col_site):
+        vec = [Fraction(0)] * (D * D)
+        ro, co = offs[row_site], offs[col_site]
+        for r in range(mat.rows):
+            for c in range(mat.cols):
+                if mat.data[r][c]:
+                    vec[(ro + r) * D + (co + c)] = mat.data[r][c]
+        return vec
+
+    cols = []
+    for i in range(m + 1):
+        for x in q.vertices:
+            for y in q.vertices:
+                for p in paths[(x, y)]:
+                    mat = M.layers[i].path_matrix(x, p)
+                    cols.append(embedded(mat, (i, y), (i, x)))
+    for i in range(1, m + 1):
+        for x in q.vertices:
+            for y in q.vertices:
+                for p in paths[(x, y)]:
+                    mat = L.dual_path_action(M, i, p, x, y)
+                    cols.append(embedded(mat, (i - 1, x), (i, y)))
+    return cols
+
+
+def _stacked_rank_faithful(tctx, summands):
+    """The annihilator test as one dense system: a row per operator entry of
+    every summand, a column per algebra basis element."""
+    per_element = None
+    for M in summands:
+        acts = _basis_actions(tctx, M)
+        if per_element is None:
+            per_element = [list(a) for a in acts]
+        else:
+            for col, a in zip(per_element, acts):
+                col.extend(a)
+    if per_element is None:
+        return False
+    rows = [r for r in zip(*per_element) if any(r)]
+    system = QMatrix(len(rows), len(per_element), rows or None)
+    return system.rank() == tctx.algebra_dim()
+
+
+def _assert_row_cache(tctx, summands):
+    for M in summands:
+        assert "basis_actions" not in M._cache
+        rows = M._cache["annihilator_rows"]
+        assert len(rows) <= tctx.algebra_dim()
+        assert all(len(r) == tctx.algebra_dim() and
+                   all(type(x) is int for x in r) for r in rows)
+
+
+@pytest.mark.parametrize("base,m,seed", [("a3", 2, 11), ("d4", 1, 12)])
+def test_faithful_matches_the_stacked_rank(base, m, seed, request):
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    mods = [node.module for node in arq.nodes]
+    rank = spec.base.n * (m + 1)
+    rng = random.Random(seed)
+    pis = list(tctx.proj_inj)
+    cands = [rng.sample(mods, rng.randint(1, rank + 2)) for _ in range(30)]
+    cands += [pis + rng.sample(mods, rng.randint(1, rank)) for _ in range(10)]
+    # exceptional candidates too, where the two criteria must agree
+    for _ in range(20):
+        cand = pis[:rng.randint(len(pis) - 1, len(pis))]
+        for M in rng.sample(mods, len(mods)):
+            if len(cand) < rank and tctx.is_exceptional(cand + [M]):
+                cand = tctx.basic(cand + [M])
+        cands.append(cand)
+    seen = Counter()
+    for cand in cands:
+        exceptional = tctx.is_exceptional(cand)
+        got = tctx.is_faithful(cand, check_agreement=exceptional)
+        assert got == _stacked_rank_faithful(tctx, cand)
+        _assert_row_cache(tctx, cand)
+        seen[exceptional, got] += 1
+    assert seen[True, True] and seen[True, False]
+    assert seen[False, True] and seen[False, False]
+
+
+def test_faithful_matches_the_stacked_rank_kronecker(kctx):
+    for cand in sample_faithful_exceptional(kctx, 6, 8):
+        assert kctx.is_faithful(cand)
+        assert _stacked_rank_faithful(kctx, cand)
+        _assert_row_cache(kctx, cand)
+        # without a projective-injective summand neither route is faithful
+        assert not kctx.is_faithful(cand[1:])
+        assert not _stacked_rank_faithful(kctx, cand[1:])
