@@ -216,10 +216,7 @@ class ARQuiver:
         for node in self.nodes:
             if not node.is_injective:
                 continue
-            soc = L.socle_data(node.module)
-            cols = [{v: soc[(l, v)] for v in self.spec.base.vertices}
-                    for l in range(self.spec.m + 1)]
-            S, incl = L.layered_sub(node.module, cols)
+            S, incl = L.layered_sub(node.module, L.socle_data(node.module))
             Q, _ = L.cokernel_rep(incl)
             counts = {}
             if not Q.is_zero():

@@ -17,6 +17,12 @@ while the constructions that make or check a connector on nu(M^i) itself
 Nakayama images.  A direct sum is a module and nothing more: its layers
 carry presentation and Nakayama caches aligned summand by summand, but no
 inclusions or projections.
+
+Radicals, tops, Loewy layers and the syzygies of a resolution are column
+spans in an ambient module (radical_span), not submodules: a syzygy lives
+as kernel columns inside the previous cover's shared sum and is covered
+there.  layered_sub builds a module only where one is needed: a kernel,
+image or radical handed to a caller, or a split part of a decomposition.
 """
 
 from __future__ import annotations
@@ -411,11 +417,12 @@ def hom_dim_rep(M, N):
 # ---------------------------------------------------------------------------
 
 def layered_sub(M: LayeredModule, cols):
-    """Submodule spanned by per-layer, per-vertex column matrices."""
+    """Submodule spanned by column matrices keyed (layer, vertex)."""
     m = M.spec.m
     layers, incl_parts = [], []
     for l in range(m + 1):
-        K, incl = repa.sub_from_columns(M.layers[l], cols[l])
+        K, incl = repa.sub_from_columns(
+            M.layers[l], {v: cols[(l, v)] for v in M.quiver.vertices})
         layers.append(K)
         incl_parts.append(incl)
     conns = [None] * (m + 1)
@@ -429,18 +436,20 @@ def layered_sub(M: LayeredModule, cols):
     return K, LModMorphism(K, M, incl_parts)
 
 
+def _kernel_columns(f: LModMorphism):
+    """Column bases of ker f inside f.src, keyed (layer, vertex)."""
+    return {(l, v): p.mats[v].kernel_basis()
+            for l, p in enumerate(f.parts) for v in f.src.quiver.vertices}
+
+
 def kernel_rep(f: LModMorphism):
-    cols = [{v: f.parts[l].mats[v].kernel_basis()
-             for v in f.src.quiver.vertices}
-            for l in range(f.src.spec.m + 1)]
-    return layered_sub(f.src, cols)
+    return layered_sub(f.src, _kernel_columns(f))
 
 
 def image_rep(f: LModMorphism):
-    cols = [{v: f.parts[l].mats[v].column_space_basis()
-             for v in f.src.quiver.vertices}
-            for l in range(f.src.spec.m + 1)]
-    return layered_sub(f.tgt, cols)
+    return layered_sub(f.tgt, {(l, v): p.mats[v].column_space_basis()
+                               for l, p in enumerate(f.parts)
+                               for v in f.src.quiver.vertices})
 
 
 def cokernel_rep(f: LModMorphism):
@@ -465,32 +474,59 @@ def cokernel_rep(f: LModMorphism):
     return C, LModMorphism(N, C, proj_parts)
 
 
-def radical_sub(M: LayeredModule):
-    """rad M: base-algebra radical plus the connector images, per layer."""
+def _radical_columns(M: LayeredModule):
+    """Column bases of rad M, keyed (layer, vertex): the base-algebra
+    radical plus the image of the connector from the layer above."""
     m = M.spec.m
-    cols = []
+    cols = {}
     for l in range(m + 1):
         rad_a = repa.radical_columns(M.layers[l])
-        per_vertex = {}
         for v in M.quiver.vertices:
             pieces = [rad_a[v]]
             if l < m:
                 pieces.append(M.connectors[l + 1].mats[v])
-            per_vertex[v] = QMatrix.hstack(pieces).column_space_basis()
-        cols.append(per_vertex)
-    return layered_sub(M, cols)
+            cols[(l, v)] = QMatrix.hstack(pieces).column_space_basis()
+    return cols
+
+
+def radical_sub(M: LayeredModule):
+    """rad M: base-algebra radical plus the connector images, per layer."""
+    return layered_sub(M, _radical_columns(M))
+
+
+def radical_span(P: LayeredModule, C):
+    """Column bases of J.N inside P, for the submodule N of P spanned by
+    the columns C, keyed (layer, vertex); J is the radical of the
+    replicated algebra.
+
+    J.N is spanned by the arrow images P(a) C[(l, s)] and by the images of
+    the dual paths, u*_P C[(l + 1, y)] for u: v -> y (dual_path_action):
+    the connector of N is delta_P . nu(incl), and the elements n (x) u*
+    span nu(N).  No submodule is built."""
+    m = P.spec.m
+    q = P.quiver
+    paths = q.paths()
+    out = {}
+    for l in range(m + 1):
+        layer = P.layers[l]
+        for v in q.vertices:
+            pieces = [layer.mats[a] * C[(l, q.arrow_src[a])]
+                      for a in q.in_arrows[v] if C[(l, q.arrow_src[a])].cols]
+            if l < m and layer.dim[v]:
+                for y in q.vertices:
+                    if C[(l + 1, y)].cols:
+                        pieces += [dual_path_action(P, l + 1, u, v, y)
+                                   * C[(l + 1, y)] for u in paths[(v, y)]]
+            out[(l, v)] = QMatrix.hstack(pieces).column_space_basis() \
+                if pieces else QMatrix.zeros(layer.dim[v], 0)
+    return out
 
 
 def top_data(M: LayeredModule):
     """Generators of M/rad M: list of (layer, vertex, column vector)."""
-    R, incl = radical_sub(M)
-    gens = []
-    for l in range(M.spec.m + 1):
-        for v in M.quiver.vertices:
-            span = incl.parts[l].mats[v]
-            for col in repa.complement_columns(span, M.layers[l].dim[v]):
-                gens.append((l, v, col))
-    return gens
+    rad = _radical_columns(M)
+    return [(l, v, col) for (l, v), span in rad.items()
+            for col in repa.complement_columns(span, M.layers[l].dim[v])]
 
 
 def socle_data(M: LayeredModule):
@@ -872,17 +908,23 @@ def cosyzygy(M: LayeredModule):
 
 
 def is_projective_rep(M: LayeredModule) -> bool:
+    """Whether the minimal projective cover, checked onto, is injective:
+    whether it has M's dimension."""
     flag = M._cache.get("is_proj")
     if flag is None:
-        flag = M.is_zero() or syzygy(M).is_zero()
+        flag = M.is_zero() or \
+            projective_cover_rep(M)[0].module.total_dim() == M.total_dim()
         M._cache["is_proj"] = flag
     return flag
 
 
 def is_injective_rep(M: LayeredModule) -> bool:
+    """Whether the minimal injective envelope, checked one to one, is
+    onto: whether it has M's dimension."""
     flag = M._cache.get("is_inj")
     if flag is None:
-        flag = M.is_zero() or cosyzygy(M).is_zero()
+        flag = M.is_zero() or \
+            injective_envelope_rep(M)[0].module.total_dim() == M.total_dim()
         M._cache["is_inj"] = flag
     return flag
 
@@ -902,23 +944,47 @@ class Resolution:
     augment: LModMorphism
 
 
+def _cover_of_span(P: LProjSum, C):
+    """Minimal projective cover of the submodule K spanned by the columns C
+    inside P.module, with no module built for K.
+
+    Returns (Q, d, ker): d: Q -> P.module is the cover followed by K's
+    inclusion, ker the columns of ker d inside Q.module.  The top is read
+    in K's own coordinates, the columns of C standing for its unit
+    vectors, so the generators are those projective_cover_rep would take
+    on the built K, and d equals its cover composed with the inclusion.
+    The cover is onto iff, at each (layer, vertex), rank d = dim K."""
+    rad = radical_span(P.module, C)
+    gens = [(l, v, col) for (l, v), basis in C.items()
+            for col in repa.complement_columns(rad[(l, v)], basis.cols,
+                                               within=basis)]
+    Q = lproj_sum(P.spec, tuple((v, l) for l, v, _ in gens))
+    d = Q.hom_to(P.module, [col for _, _, col in gens])
+    ker = _kernel_columns(d)
+    for (l, v), basis in C.items():
+        if Q.module.layers[l].dim[v] - ker[(l, v)].cols != basis.cols:
+            raise ArithmeticError("projective cover failed to be surjective")
+    return Q, d, ker
+
+
 def resolution(M: LayeredModule) -> Resolution:
-    """Minimal projective resolution, computed to completion and cached."""
+    """Minimal projective resolution, computed to completion and cached.
+
+    Each syzygy is kept as the kernel columns of the previous differential
+    inside the previous cover's shared sum, and covered there."""
     res = M._cache.get("resolution")
     if res is None:
         horizon = 2 * M.spec.m + 2
-        covers, diffs = [], []
         P0, eps = projective_cover_rep(M)
-        covers.append(P0)
-        K, prev_incl = kernel_rep(eps)
-        while not K.is_zero():
+        covers, diffs = [P0], []
+        ker = _kernel_columns(eps)
+        while any(c.cols for c in ker.values()):
             if len(covers) > horizon:
                 raise ArithmeticError("resolution exceeded the global "
                                       "dimension bound; implementation bug")
-            Pk, epsk = projective_cover_rep(K)
+            Pk, d, ker = _cover_of_span(covers[-1], ker)
             covers.append(Pk)
-            diffs.append(lcompose(prev_incl, epsk))
-            K, prev_incl = kernel_rep(epsk)
+            diffs.append(d)
         res = Resolution(covers, diffs, eps)
         M._cache["resolution"] = res
     return res
@@ -1009,11 +1075,10 @@ def tau_rep(M: LayeredModule) -> LayeredModule:
     if M.is_zero():
         raise ZeroModule("tau of the zero module")
     P0, eps = projective_cover_rep(M)
-    K, incl = kernel_rep(eps)
-    if K.is_zero():
+    ker = _kernel_columns(eps)
+    if not any(c.cols for c in ker.values()):
         raise ProjectiveInput("tau undefined on projective modules")
-    P1, eps1 = projective_cover_rep(K)
-    d = lcompose(incl, eps1)
+    P1, d, _ = _cover_of_span(P0, ker)
     _, _, nud = nu_lproj_morphism(P1, P0, d)
     T, _ = kernel_rep(nud)
     return T
@@ -1096,19 +1161,22 @@ def is_iso_rep(M: LayeredModule, N: LayeredModule) -> bool:
 # ---------------------------------------------------------------------------
 
 def loewy_series(M: LayeredModule):
-    """Radical filtration quotients: list of {(vertex, layer): multiplicity}."""
+    """Radical filtration quotients: list of {(vertex, layer): multiplicity}.
+
+    rad^k M is kept as column bases inside M, each the radical_span of the
+    one before."""
     out = []
-    cur = M
-    while not cur.is_zero():
-        R, _ = radical_sub(cur)
+    cur = {(l, v): QMatrix.identity(M.layers[l].dim[v])
+           for l in range(M.spec.m + 1) for v in M.quiver.vertices}
+    while any(c.cols for c in cur.values()):
+        rad = _radical_columns(M) if not out else radical_span(M, cur)
         layer = {}
-        for l in range(M.spec.m + 1):
-            for v in M.quiver.vertices:
-                d = cur.layers[l].dim[v] - R.layers[l].dim[v]
-                if d:
-                    layer[(v, l)] = d
+        for (l, v), basis in cur.items():
+            d = basis.cols - rad[(l, v)].cols
+            if d:
+                layer[(v, l)] = d
         out.append(layer)
-        cur = R
+        cur = rad
     return out
 
 

@@ -472,18 +472,27 @@ def radical_columns(M: ARep):
     return out
 
 
-def complement_columns(span: QMatrix, dim: int):
+def complement_columns(span: QMatrix, dim: int, within=None):
     """Greedy unit vectors completing the span to all of Q^dim: e_i is
-    chosen, in order, exactly when it raises the rank of the span so far."""
-    ech = Echelon(dim)
+    chosen, in order, exactly when it raises the rank of the span so far.
+
+    With within, dim independent columns whose span contains span's, the
+    greedy runs over within's columns in place of the unit vectors: the
+    i-th is chosen exactly when e_i would be in within's own coordinates,
+    so a subspace given by a basis gets the generators it would get as a
+    space of its own."""
+    ech = Echelon(dim if within is None else within.rows)
     for c in range(span.cols):
         ech.add(span.col(c))
     chosen = []
     for i in range(dim):
         if ech.rank == dim:
             break
-        e = [_ZERO] * dim
-        e[i] = _ONE
+        if within is None:
+            e = [_ZERO] * dim
+            e[i] = _ONE
+        else:
+            e = within.col(i)
         if ech.add(e):
             chosen.append(e)
     return chosen

@@ -64,6 +64,12 @@ def compatible_sets(n, pair_ok, max_size, item_ok=None):
     return extend((), 0)
 
 
+class _BasicExceptional(list):
+    """A summand list already made basic and found exceptional, by verdict
+    or by the complement search; basic() and is_exceptional() take both
+    facts as decided."""
+
+
 class TiltingContext:
     """Shared data for tilting computations over one replication spec."""
 
@@ -83,6 +89,8 @@ class TiltingContext:
 
     def basic(self, summands):
         """Deduplicate a summand list up to isomorphism (order-preserving)."""
+        if isinstance(summands, _BasicExceptional):
+            return summands
         out = []
         for s in summands:
             if not any(L.is_iso_rep(s, t) for t in out):
@@ -109,6 +117,8 @@ class TiltingContext:
                    for i in range(1, ext_horizon(self.spec) + 1))
 
     def is_exceptional(self, summands) -> bool:
+        if isinstance(summands, _BasicExceptional):
+            return True
         summands = list(summands)
         for X in summands:
             for Y in summands:
@@ -463,18 +473,26 @@ class TiltingContext:
             return (self.ext_vanishes(pool[b], pool[a])
                     and self.ext_vanishes(pool[a], pool[b]))
 
+        # pool holds no module isomorphic to a summand, and the search
+        # checks every pair and self pair both ways, so summands + chosen
+        # is basic and exceptional
         for cand in compatible_sets(len(pool), pair_ok, need, fits_summands):
             if len(cand) == need:
                 chosen = [pool[c] for c in cand]
-                if self.is_tilting(summands + chosen):
+                if self.is_tilting(_BasicExceptional(summands + chosen)):
                     return chosen
         raise NoComplementFound("exhaustive search found no complement")
 
     def verdict(self, summands, want_complement=False):
-        """JSON-ready summary used by the command line front end."""
+        """JSON-ready summary used by the command line front end.
+
+        Basicness and exceptionality are decided once: is_tilting and
+        bongartz_complement get the list marked as both."""
         summands = self.basic(summands)
         tprime, pi = self.split_candidate(summands)
         exceptional = self.is_exceptional(summands)
+        if exceptional:
+            summands = _BasicExceptional(summands)
         faithful = self.is_faithful(summands, check_agreement=exceptional)
         out = {
             "summands": len(summands),

@@ -445,6 +445,30 @@ def test_nakayama_images_only_where_a_connector_is_made_or_checked():
     assert users <= {"validate", "compatible", "layered_sub", "cokernel_rep"}
 
 
+def _names_in(tree, function):
+    """Every name and attribute named inside the module-level function."""
+    node = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_spans_are_read_without_building_submodules():
+    # radicals, tops, Loewy layers and resolution syzygies are column spans
+    # in an ambient module; tau_rep builds one module, its result, the
+    # kernel of the Nakayama image of its presentation
+    tree = ast.parse(Path(L.__file__).read_text())
+    for function in ("resolution", "top_data", "loewy_series", "tau_rep"):
+        assert "layered_sub" not in _names_in(tree, function), function
+    for function in ("resolution", "top_data", "loewy_series"):
+        assert "kernel_rep" not in _names_in(tree, function), function
+    node = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "tau_rep")
+    calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)
+             and isinstance(c.func, ast.Name) and c.func.id == "kernel_rep"]
+    assert [ast.unparse(c) for c in calls] == ["kernel_rep(nud)"]
+
+
 def path_count(q, src, tgt):
     """Number of paths src -> tgt, by walking the arrows."""
     return int(src == tgt) + sum(path_count(q, t, tgt)
@@ -631,3 +655,101 @@ def test_layered_decompose_frees_its_split_parts(kronecker):
     assert len(parts) == 3
     assert sorted(L.is_iso_rep(p, mods[1]) for p in parts) == \
         [False, False, True]
+
+
+# -- spans against built submodules ---------------------------------------------------
+
+def _ref_top_data(M):
+    """top_data read off the built radical submodule."""
+    _, incl = L.radical_sub(M)
+    return [(l, v, col) for l in range(M.spec.m + 1) for v in M.quiver.vertices
+            for col in repa.complement_columns(incl.parts[l].mats[v],
+                                               M.layers[l].dim[v])]
+
+
+def _ref_cover(M):
+    gens = _ref_top_data(M)
+    P = L.lproj_sum(M.spec, tuple((v, l) for l, v, _ in gens))
+    epi = P.hom_to(M, [col for _, _, col in gens])
+    assert epi.is_epi()
+    return P, epi
+
+
+def _ref_loewy_series(M):
+    """The radical filtration through built submodules rad^k M."""
+    out, cur = [], M
+    while not cur.is_zero():
+        R, _ = L.radical_sub(cur)
+        out.append({(v, l): cur.layers[l].dim[v] - R.layers[l].dim[v]
+                    for l in range(M.spec.m + 1) for v in M.quiver.vertices
+                    if cur.layers[l].dim[v] - R.layers[l].dim[v]})
+        cur = R
+    return out
+
+
+def _ref_resolution(M):
+    """(covers, differentials) with each syzygy built as a submodule and
+    covered on its own."""
+    P, eps = _ref_cover(M)
+    covers, diffs = [P], []
+    K, incl = L.kernel_rep(eps)
+    while not K.is_zero():
+        P, epi = _ref_cover(K)
+        covers.append(P)
+        diffs.append(L.lcompose(incl, epi))
+        K, incl = L.kernel_rep(epi)
+    return covers, diffs
+
+
+def _ref_tau(M):
+    P0, eps = _ref_cover(M)
+    K, incl = L.kernel_rep(eps)
+    P1, epi = _ref_cover(K)
+    _, _, nud = L.nu_lproj_morphism(P1, P0, L.lcompose(incl, epi))
+    return L.kernel_rep(nud)[0]
+
+
+def _mats(f):
+    return [p.mats for p in f.parts]
+
+
+def _assert_spans_match_submodules(mods):
+    for M in mods:
+        assert L.top_data(M) == _ref_top_data(M)
+        assert L.loewy_series(M) == _ref_loewy_series(M)
+        covers, diffs = _ref_resolution(M)
+        res = L.resolution(M)
+        assert [P.members for P in res.covers] == [P.members for P in covers]
+        assert [_mats(d) for d in res.diffs] == [_mats(d) for d in diffs]
+        assert _mats(res.augment) == _mats(_ref_cover(M)[1])
+        if len(covers) > 1:
+            assert L.tau_rep(M).to_dict() == _ref_tau(M).to_dict()
+
+
+@pytest.mark.parametrize("base,m", [("a3", 2), ("d4", 1), ("d4", 2)])
+def test_spans_match_built_submodules(base, m, request):
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    mods = [node.module for node in ARQuiver(spec).nodes]
+    assert len(mods) == (2 * m + 1) * {"a3": 6, "d4": 12}[base]
+    _assert_spans_match_submodules(mods)
+
+
+def test_spans_match_built_submodules_kronecker_chains(kronecker):
+    ctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    mods = [step.cokernel
+            for cand in sample_faithful_exceptional(ctx, 6, 4)
+            for step in ctx.approximation_chain(cand).steps
+            if not step.cokernel.is_zero()]
+    assert len(mods) >= 4
+    assert any(len(L.resolution(M).covers) > 1 for M in mods)
+    _assert_spans_match_submodules(mods)
+
+
+def test_projective_and_injective_by_dimension(sp2):
+    # the cover (envelope) has M's dimension exactly when the syzygy
+    # (cosyzygy) vanishes
+    mods = [node.module for node in ARQuiver(sp2).nodes]
+    mods.append(L.layered_direct_sum(sp2, mods[:3]))
+    for M in mods:
+        assert L.is_projective_rep(M) == L.syzygy(M).is_zero()
+        assert L.is_injective_rep(M) == L.cosyzygy(M).is_zero()

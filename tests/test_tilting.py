@@ -270,6 +270,61 @@ def test_verdict_shape(ctx, mods):
     assert len(v["complement"]) == 1
 
 
+def _public_verdict(ctx, summands):
+    """verdict(want_complement=True) from the public methods alone: each
+    makes its input basic and decides exceptionality again."""
+    summands = ctx.basic(summands)
+    exceptional = ctx.is_exceptional(summands)
+    faithful = ctx.is_faithful(summands, check_agreement=exceptional)
+    out = {"summands": len(summands),
+           "projective_injective_summands":
+               len(ctx.split_candidate(summands)[1]),
+           "exceptional": exceptional, "faithful": faithful,
+           "pd": ctx.pd(summands),
+           "tilting": exceptional and ctx.is_tilting(summands)}
+    if exceptional and faithful and out["pd"] <= ctx.spec.m:
+        out["complement"] = [
+            {"dims": {f"{v}_{l}": X.layers[l].dim[v]
+                      for l in range(ctx.spec.m + 1)
+                      for v in ctx.spec.base.vertices if X.layers[l].dim[v]}}
+            for X in ctx.bongartz_complement(summands)]
+        out["complement_verified"] = True
+    return out
+
+
+def _counted(monkeypatch, names):
+    counts = Counter()
+    for name in names:
+        def wrapped(*args, _f=getattr(L, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(L, name, wrapped)
+    return counts
+
+
+def test_verdict_decides_basic_and_exceptional_once(ctx, mods, monkeypatch):
+    # the verdict equals the one the public methods give, with fewer Ext
+    # and isomorphism questions on every exceptional candidate of a
+    # complement search; a candidate with a repeated summand stays basic
+    counts = _counted(monkeypatch, ("ext_dim", "is_iso_rep"))
+    pis = [M for M in mods.values() if L.is_proj_inj(M)]
+    rest = [M for M in mods.values() if not L.is_proj_inj(M)]
+    compared = 0
+    for a, b in combinations(rest, 2):
+        cand = pis + [a, b, a]
+        counts.clear()
+        want = _public_verdict(ctx, cand)
+        public = dict(counts)
+        counts.clear()
+        got = ctx.verdict(cand, want_complement=True)
+        assert got == want
+        if "complement" in got:
+            assert counts["ext_dim"] < public["ext_dim"]
+            assert counts["is_iso_rep"] < public["is_iso_rep"]
+            compared += 1
+    assert compared >= 5
+
+
 # -- the compatible-set enumerator ---------------------------------------------
 
 # a fixed compatibility graph on seven items: a path 0-1-2-3, a triangle
