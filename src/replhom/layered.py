@@ -28,7 +28,6 @@ image or radical handed to a caller, or a split part of a decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import repa
 from .errors import (IndexOutOfRange, InjectiveInput, ProjectiveInput,
@@ -39,7 +38,7 @@ from .repa import (AMorphism, ARep, compose, hom_basis, injective,
                    inj_sum_of, nu_data, nu_module, nu_morphism, projective,
                    proj_sum_of, simple)
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class LayeredModule:

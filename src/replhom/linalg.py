@@ -1,12 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (Hom spaces, syzygies, Ext groups) reduces to the
-kernels, ranks and solves implemented here.  Arithmetic is exact: entries are
-``fractions.Fraction`` and elimination runs fraction-free on integer-scaled
-rows with a deterministic first-nonzero pivot, so every basis this module
-returns is reproducible.  Kernels, solutions and span bases are read off one
-integer reduced echelon form: each answer entry is a single quotient of two
-entries of one row, with no back-substitution in fractions.
+kernels, ranks and solves implemented here.  Arithmetic is exact: an entry is
+a plain ``int`` wherever its value is integral and a ``fractions.Fraction``
+otherwise, so integer arithmetic runs natively, and every quotient of entries
+is formed by ``quo``, never by true division.  Elimination runs fraction-free
+on integer-scaled rows with a deterministic first-nonzero pivot, so every
+basis this module returns is reproducible.  Kernels, solutions and span bases
+are read off one integer reduced echelon form: each answer entry is a single
+quotient of two entries of one row, with no back-substitution in fractions.
 """
 
 from __future__ import annotations
@@ -14,43 +16,59 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["QMatrix", "NoSolution", "Echelon", "frac", "span_basis"]
+__all__ = ["QMatrix", "NoSolution", "Echelon", "frac", "quo", "span_basis"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+_INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
 
 
 class NoSolution(Exception):
     """Raised when a linear system M*x = b has no solution."""
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to Fraction."""
-    if type(x) is Fraction:
+def frac(x):
+    """Coerce ints, Fractions and "p/q" strings to an exact rational: an
+    int when the value is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
+    if isinstance(x, (int, str, Fraction)):
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def quo(a, b):
+    """The exact quotient a / b of ints or Fractions: an int when it is
+    integral, else a Fraction.  The one place a quotient is formed, since
+    int / int would be a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _int_row(row):
-    """The row with denominators cleared and the content divided out."""
-    mult = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            mult = mult * d // gcd(mult, d)
-    if mult == 1:
-        ints = [x.numerator for x in row]
+    """The row with denominators cleared and the content divided out.
+
+    Integer entries pass straight through; only the Fraction entries are
+    read for their denominators."""
+    if set(map(type, row)) <= _INT:
+        ints = list(row)
     else:
-        ints = [int(x * mult) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
+        mult = 1
+        for x in row:
+            if type(x) is not int:
+                d = x.denominator
+                if d != 1:
+                    mult = mult * d // gcd(mult, d)
+        if mult == 1:
+            ints = [x if type(x) is int else x.numerator for x in row]
+        else:
+            ints = [int(x * mult) for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -95,12 +113,9 @@ def _echelon(rows, ncols):
             if f:
                 for j in range(c, width):
                     ri[j] = ri[j] * pv - f * prow[j]
-                g = 0
-                for v in ri:
-                    g = gcd(g, v)
+                g = gcd(*ri)
                 if g > 1:
-                    for j in range(width):
-                        ri[j] //= g
+                    ri[:] = [v // g for v in ri]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -121,12 +136,14 @@ def _reduce_upward(rows, pivots):
     for i in range(len(pivots) - 1, 0, -1):
         pc, prow = pivots[i], rows[i]
         pv = prow[pc]
-        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        nonzero = None
         for k in range(i):
             rk = rows[k]
             f = rk[pc]
             if not f:
                 continue
+            if nonzero is None:
+                nonzero = [(j, x) for j, x in enumerate(prow) if x]
             g = gcd(pv, f)
             a, b = pv // g, f // g
             if a != 1:
@@ -154,7 +171,7 @@ def span_basis(vectors, n):
     for i in range(len(pivots) - 1, -1, -1):
         row = rows[i]
         pv = row[pivots[i]]
-        out.append([Fraction(x, pv) if x else _ZERO for x in reversed(row)])
+        out.append([quo(x, pv) if x else _ZERO for x in reversed(row)])
     return out
 
 
@@ -210,7 +227,8 @@ class Echelon:
 
 
 class QMatrix:
-    """Dense matrix of Fractions with shape (rows, cols)."""
+    """Dense matrix of exact rationals with shape (rows, cols): each entry
+    is an int or a Fraction (see frac)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -223,7 +241,7 @@ class QMatrix:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data shape mismatch")
             self.data = [
-                list(r) if all(type(x) is Fraction for x in r)
+                list(r) if set(map(type, r)) <= _EXACT
                 else [frac(x) for x in r]
                 for r in data]
 
@@ -373,7 +391,7 @@ class QMatrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def apply(self, vec):
-        """Matrix times column vector (a list of Fractions)."""
+        """Matrix times column vector (a list of ints and Fractions)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         nz = [(j, v) for j, v in enumerate(vec) if v]
@@ -430,19 +448,17 @@ class QMatrix:
         pivots = _echelon(rows, ncols)
         _reduce_upward(rows, pivots)
         pivset = set(pivots)
-        cols = []
-        for fc in range(ncols):
-            if fc in pivset:
-                continue
-            v = [_ZERO] * ncols
-            v[fc] = _ONE
+        free = [fc for fc in range(ncols) if fc not in pivset]
+        K = QMatrix(ncols, len(free))
+        out = K.data
+        for j, fc in enumerate(free):
+            out[fc][j] = _ONE
             for pc, row in zip(pivots, rows):
                 if pc > fc:
                     break
                 if row[fc]:
-                    v[pc] = Fraction(-row[fc], row[pc])
-            cols.append(v)
-        return QMatrix.from_cols(cols, rows=ncols)
+                    out[pc][j] = quo(-row[fc], row[pc])
+        return K
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix":
         """Solve M X = B for X; canonical solution with free variables 0.
@@ -460,17 +476,16 @@ class QMatrix:
             if any(rows[i][n + t] for t in range(B.cols)):
                 raise NoSolution("inconsistent linear system")
         _reduce_upward(rows, pivots)
-        xcols = []
-        for t in range(n, n + B.cols):
-            v = [_ZERO] * n
+        X = QMatrix(n, B.cols)
+        out = X.data
+        for t in range(B.cols):
             for pc, row in zip(pivots, rows):
-                if row[t]:
-                    v[pc] = Fraction(row[t], row[pc])
-            xcols.append(v)
-        return QMatrix.from_cols(xcols, rows=n)
+                if row[n + t]:
+                    out[pc][t] = quo(row[n + t], row[pc])
+        return X
 
     def solve(self, b):
-        """Solve M x = b for a column vector b (list of Fractions)."""
+        """Solve M x = b for a column vector b (list of ints and Fractions)."""
         B = QMatrix.from_cols([list(b)], rows=self.rows)
         return self.solve_matrix(B).col(0)
 
@@ -503,7 +518,7 @@ class QMatrix:
             raise ValueError("matrix is singular") from exc
         return inv
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))),
                    _ZERO)
 

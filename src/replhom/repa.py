@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InjectiveInput, NotSupported, ProjectiveInput, ZeroModule
-from .linalg import Echelon, QMatrix, _int_row, frac, span_basis
+from .linalg import Echelon, QMatrix, _int_row, frac, quo, span_basis
 from .quiver import Quiver, dynkin_type
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class ARep:
@@ -827,7 +827,8 @@ def char_poly(m: QMatrix):
     characteristic polynomials p_k of H's leading k x k minors follow from
     p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik h_(k,k-1)...h_(i+1,i) p_(i-1)
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9):
-    O(n^3) Fraction operations."""
+    O(n^3) exact operations, on plain ints wherever the entries are
+    integral."""
     n = m.rows
     H = [list(row) for row in m.data]
     for k in range(1, n - 1):
@@ -840,7 +841,7 @@ def char_poly(m: QMatrix):
                 row[r], row[k] = row[k], row[r]
         pk, t = H[k], H[k][k - 1]
         for i in range(k + 1, n):
-            u = H[i][k - 1] / t
+            u = quo(H[i][k - 1], t)
             if u:
                 hi = H[i]
                 for j in range(k - 1, n):
@@ -869,12 +870,12 @@ def char_poly(m: QMatrix):
 
 
 def _poly_divmod(a, b):
-    """Quotient and remainder of a by b, Fraction coefficients highest
-    degree first (b's leading one nonzero); the remainder's leading zeros
-    are stripped."""
+    """Quotient and remainder of a by b, int or Fraction coefficients
+    highest degree first (b's leading one nonzero); each quotient is exact
+    (quo) and the remainder's leading zeros are stripped."""
     a, quot = list(a), []
     while len(a) >= len(b):
-        q = a[0] / b[0]
+        q = quo(a[0], b[0])
         quot.append(q)
         if q:
             for i in range(1, len(b)):
@@ -1183,7 +1184,7 @@ def kronecker_regulars(q: Quiver):
     """Length-one homogeneous regulars at parameters 0, 1 and infinity."""
     (a1, s, _), (a2, _, _) = q.arrows
     out = []
-    for lam in (Fraction(0), Fraction(1)):
+    for lam in (_ZERO, _ONE):
         mats = {a1: QMatrix(1, 1, [[_ONE]]), a2: QMatrix(1, 1, [[lam]])}
         out.append(ARep(q, {v: 1 for v in q.vertices}, mats))
     mats = {a1: QMatrix(1, 1, [[_ZERO]]), a2: QMatrix(1, 1, [[_ONE]])}

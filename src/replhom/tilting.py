@@ -22,7 +22,6 @@ solve per target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 
 from . import layered as L
@@ -31,8 +30,7 @@ from .errors import NoComplementFound, TheoremViolation
 from .linalg import Echelon, QMatrix
 from .quiver import ReplicationSpec, dynkin_type
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
 
 def ext_horizon(spec: ReplicationSpec) -> int:
     return 2 * spec.m + 1

@@ -1,11 +1,16 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from replhom import repa
 from replhom.linalg import (Echelon, NoSolution, QMatrix, _echelon, _int_row,
-                            _int_rows, span_basis)
+                            _int_rows, frac, quo, span_basis)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "replhom"
 
 
 def gauss_oracle(rows, ncols):
@@ -324,7 +329,7 @@ def test_kernel_basis_matches_back_substitution():
         m = _random_matrix(rng, r, c)
         ker = m.kernel_basis()
         assert ker == back_substitution_kernel(m)
-        assert all(type(x) is Fraction for row in ker.data for x in row)
+        assert all(type(x) in (int, Fraction) for row in ker.data for x in row)
         rank = m.rank()
         kinds.add("zero" if rank == 0 else "full" if rank == c else "partial")
     assert kinds == {"zero", "partial", "full"}
@@ -372,3 +377,112 @@ def test_span_basis_matches_its_upward_pass():
         vecs = [list(row) for row in m.data]
         assert span_basis(vecs, c) == upward_pass_span_basis(vecs, c)
     assert span_basis([[Fraction(0)] * 3], 3) == []
+
+
+# -- exact entries: ints where integral, quotients only through quo ------------
+
+def _is_exact(x):
+    return type(x) is int or type(x) is Fraction
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+def test_quo_is_the_exact_quotient():
+    rng = random.Random(111)
+    for _ in range(2000):
+        a, b = _random_rational(rng), _random_rational(rng)
+        if rng.random() < 0.5:
+            a, b = frac(a), frac(b)     # ints where integral
+        if not b:
+            continue
+        q, want = quo(a, b), Fraction(a) / Fraction(b)
+        assert q == want
+        assert type(q) is (int if want.denominator == 1 else Fraction)
+    assert type(quo(6, 3)) is int and type(quo(Fraction(6), 3)) is int
+    assert quo(-7, 2) == Fraction(-7, 2) and quo(7, -7) == -1
+    for a in (0, 5, Fraction(1, 2)):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                quo(a, zero)
+
+
+def test_frac_returns_ints_for_integral_values():
+    for x in (3, Fraction(6, 2), "4", "-8/2", True):
+        assert type(frac(x)) is int and frac(x) == Fraction(x)
+    assert frac("1/2") == Fraction(1, 2) and type(frac("1/2")) is Fraction
+    with pytest.raises(TypeError):
+        frac(0.5)
+    with pytest.raises(TypeError):
+        QMatrix(1, 1, [[0.5]])
+
+
+def _as_fractions(m):
+    """The same matrix with every entry boxed as a Fraction."""
+    return QMatrix(m.rows, m.cols,
+                   [[Fraction(x) for x in row] for row in m.data])
+
+
+def _as_ints(m):
+    """The same matrix with every integral entry a plain int."""
+    return QMatrix(m.rows, m.cols, [[frac(x) for x in row] for row in m.data])
+
+
+def _same_exact(got, want):
+    """got equals want, and every entry of either is an int or a Fraction,
+    never a float."""
+    assert got == want
+    for res in (got, want):
+        rows = res.data if isinstance(res, QMatrix) else res
+        if rows and isinstance(rows[0], list):
+            rows = [x for row in rows for x in row]
+        assert all(_is_exact(x) for x in rows)
+
+
+def test_results_do_not_depend_on_how_entries_are_boxed():
+    rng = random.Random(112)
+    for r, c in _shapes(rng):
+        m = _random_matrix(rng, r, c)
+        if rng.random() < 0.5:   # mostly integral, as in Hom systems
+            m = QMatrix(r, c, [[Fraction(x.numerator) for x in row]
+                               for row in m.data] or None)
+        mi, mf = _as_ints(m), _as_fractions(m)
+        assert all(type(x) is Fraction for row in mf.data for x in row)
+        assert mi.rank() == mf.rank() == m.rank()
+        _same_exact(mi.kernel_basis(), mf.kernel_basis())
+        if c:
+            _same_exact(span_basis(mi.data, c), span_basis(mf.data, c))
+        if r and c:
+            x = QMatrix(c, 2, [[rng.randint(-3, 3) for _ in range(2)]
+                               for _ in range(c)])
+            B = mi * x
+            _same_exact(mi.solve_matrix(B), mf.solve_matrix(_as_fractions(B)))
+        if r == c and r:
+            coeffs = repa.char_poly(mi)
+            _same_exact(coeffs, repa.char_poly(mf))
+            _same_exact(repa.rational_roots(coeffs),
+                        repa.rational_roots([Fraction(x) for x in coeffs]))
+
+
+def _divisions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)]
+
+
+def test_no_true_division_outside_quo():
+    """A quotient of entries is formed only by linalg.quo: with int
+    entries, a / b would silently be a float."""
+    allowed = set()
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "linalg.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "quo":
+                    allowed = {id(d) for d in _divisions(node)}
+        offenders += [f"{path.name}:{d.lineno}" for d in _divisions(tree)
+                      if id(d) not in allowed]
+    assert allowed, "linalg.quo not found"
+    assert offenders == []
