@@ -1,13 +1,13 @@
 """The Auslander-Reiten quiver of the replicated algebra (Dynkin base).
 
-Nodes are iso-classes of indecomposables, found by closing the projectives
-and injectives under the AR translates.  Arrows are knitted mesh by mesh:
-arrows into a projective come from the radical decomposition, arrows into a
-non-projective Y are transported from the arrows out of tau(Y); dimension
-additivity of every mesh is asserted.  On top of the quiver sit the path
-order, the cosyzygy slices, projective dimension with its position/witness
-cross-checks, and the left part that serves as the cluster fundamental
-domain.
+Nodes are iso-classes of indecomposables, found by walking the inverse
+translate from the projectives, where every tau-orbit starts.  Arrows are
+knitted mesh by mesh: arrows into a projective come from the radical
+decomposition, arrows into a non-projective Y are transported from the
+arrows out of tau(Y); dimension additivity of every mesh is asserted.  On
+top of the quiver sit the path order, the cosyzygy slices, projective
+dimension with its position/witness cross-checks, and the left part that
+serves as the cluster fundamental domain.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import layered as L
-from . import repa
-from .errors import ClosureIncomplete, NotInDomain, TheoremViolation
-from .quiver import ReplicationSpec, dynkin_type
+from .errors import (ClosureIncomplete, NotInDomain, NotSupported,
+                     TheoremViolation)
+from .quiver import ReplicationSpec, dynkin_type, knit_ind
 
 
 @dataclass
@@ -52,17 +52,19 @@ class ARQuiver:
 
     def __init__(self, spec: ReplicationSpec):
         if dynkin_type(spec.base) in (None, "kronecker"):
-            raise repa.NotSupported("AR quiver construction needs a Dynkin base")
+            raise NotSupported("AR quiver construction needs a Dynkin base")
         self.spec = spec
         self.nodes: list[Node] = []
         self._buckets = {}
         self.in_arrows = {}
         self.out_arrows = {}
         self._pd = {}
+        self._witness = {}
         self._node_labels = {}
         self._slices = {}
         self._labels = None
         self._ind_a = None
+        self._left = None
         self._build()
 
     # -- registry ------------------------------------------------------------
@@ -108,10 +110,8 @@ class ARQuiver:
                 else:
                     node = self._register(L.injective_rep(spec, x, m))
                 node.inj_site = (x, i)
-        seeds = [n.idx for n in list(self.nodes)]
-        for idx in seeds:
-            self._walk_forward(self.nodes[idx])
-            self._walk_backward(self.nodes[idx])
+        for node in proj_nodes.values():
+            self._walk_forward(node)
 
         rad_parts = {}
         radmap = {}
@@ -179,22 +179,6 @@ class ARQuiver:
             node.tau_inv, nxt.tau = nxt.idx, node.idx
             node = nxt
         raise ClosureIncomplete("tau-inverse orbit did not terminate",
-                                witness=node.module)
-
-    def _walk_backward(self, node):
-        for _ in range(_MAX_ORBIT):
-            if node.is_projective:
-                return
-            if node.tau is not None:
-                node = self.nodes[node.tau]
-                continue
-            prv = self._register(L.tau_rep(node.module))
-            if prv.tau_inv is not None and prv.tau_inv != node.idx:
-                raise TheoremViolation("inconsistent tau pairing",
-                                       witness=prv.module)
-            node.tau, prv.tau_inv = prv.idx, node.idx
-            node = prv
-        raise ClosureIncomplete("tau orbit did not terminate",
                                 witness=node.module)
 
     def _check_meshes(self):
@@ -308,15 +292,15 @@ class ARQuiver:
         return self._pd[i]
 
     def ind_a_nodes(self):
-        """Level-0 nodes in the canonical order of ind A."""
+        """Level-0 nodes in the order of ind A: for each knitted dimension
+        vector, the one node with it at layer 0 and zeros elsewhere."""
         if self._ind_a is None:
-            ind = repa.enumerate_ind(self.spec.base)
-            out = []
-            for N in ind:
-                out.append(self.find_node(L.from_level(self.spec, N, 0)).idx)
-            if len(set(out)) != len(ind):
+            zeros = (0,) * (self.spec.base.n * self.spec.m)
+            hits = [self._buckets.get(dims + zeros, ())
+                    for dims in knit_ind(self.spec.base).dims]
+            if any(len(h) != 1 for h in hits):
                 raise ClosureIncomplete("level-0 part does not match ind A")
-            self._ind_a = out
+            self._ind_a = [h[0] for h in hits]
         return self._ind_a
 
     def fundamental_domain_labels(self):
@@ -374,24 +358,20 @@ class ARQuiver:
 
     def _witness_set(self, k):
         """Nodes of the form tau^{-1} of the (k-1)-st cosyzygy of ind A."""
-        key = ("witness", k)
-        if key not in self._pd:
+        if k not in self._witness:
             out = set()
             for nidx in self.ind_a_nodes():
                 M = self.nodes[nidx].module
                 for _ in range(k - 1):
                     M = L.cosyzygy(M)
                     if M.is_zero():
-                        M = None
                         break
-                if M is None:
-                    continue
-                node = self.find_node(M)
-                if node.is_injective:
-                    continue
-                out.add(node.tau_inv)
-            self._pd[key] = out
-        return self._pd[key]
+                else:
+                    node = self.find_node(M)
+                    if not node.is_injective:
+                        out.add(node.tau_inv)
+            self._witness[k] = out
+        return self._witness[k]
 
     def check_trichotomy(self):
         """pd = slice position = witness membership for 1 <= pd <= m;
@@ -419,8 +399,10 @@ class ARQuiver:
 
         The direct definition, the cosyzygy-family membership and the
         position characterization are computed independently and must agree
-        on non-projective-injective nodes.
+        on non-projective-injective nodes.  Computed once.
         """
+        if self._left is not None:
+            return self._left
         m = self.spec.m
         by_def = set()
         for node in self.nodes:
@@ -437,6 +419,7 @@ class ARQuiver:
         if by_def & non_pi != by_pos & non_pi:
             raise TheoremViolation("left part definition disagrees with the "
                                    "position characterization")
+        self._left = by_def
         return by_def
 
     def left_part_non_proj_inj(self):

@@ -229,7 +229,7 @@ def _run_fault_injection(spec) -> int:
     if victim is None:
         raise TheoremViolation("no node suitable for corruption")
     victim.tau_inv = victim.idx
-    arq._pd = {k: v for k, v in arq._pd.items() if not isinstance(k, tuple)}
+    arq._witness.clear()
     arq.check_trichotomy()
     print(json.dumps({"fault_injection": "not detected"}))
     return EXIT_OK

@@ -6,16 +6,20 @@ by the hereditary stalk calculus (Hom in equal degree, first Ext one degree
 up, the translate of a projective stalk dropping a degree); the orbit sum is
 restricted to shifts -2..2 and the terms outside the two surviving shifts
 are asserted to vanish at runtime.
+
+All this side needs of ind A (the indecomposables, tau, dim Hom, dim Ext^1)
+comes from the integer tables of quiver.knit_ind, knitted from dimension
+vectors along the meshes: no module is built, so the two sides of the
+bijection share no linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import repa
 from .arquiver import ARQuiver
-from .errors import TheoremViolation, WindowViolation
-from .quiver import ReplicationSpec, dynkin_type
+from .errors import NotSupported, WindowViolation
+from .quiver import ReplicationSpec, dynkin_type, knit_ind
 from .tilting import TiltingContext, compatible_sets
 
 
@@ -40,65 +44,33 @@ class ClusterContext:
 
     def __init__(self, spec: ReplicationSpec):
         if dynkin_type(spec.base) in (None, "kronecker"):
-            raise repa.NotSupported("cluster enumeration needs a Dynkin base")
+            raise NotSupported("cluster enumeration needs a Dynkin base")
         self.spec = spec
-        q = spec.base
-        self.ind = repa.enumerate_ind(q)
-        self.n_ind = len(self.ind)
-        self._proj_of = {}
-        self._inj_of = {}
-        for x in q.vertices:
-            P, I = repa.projective(q, x), repa.injective(q, x)
-            self._proj_of[x] = self._find(P)
-            self._inj_of[x] = self._find(I)
-        self._proj_idx = {v: k for k, v in self._proj_of.items()}
-        self._inj_idx = {v: k for k, v in self._inj_of.items()}
-        self._tau = {}
-        self._tau_inv = {}
-        for k, M in enumerate(self.ind):
-            if k not in self._proj_idx:
-                self._tau[k] = self._find(repa.tau_a(M))
-            if k not in self._inj_idx:
-                self._tau_inv[k] = self._find(repa.tau_inv_a(M))
-        self._hom = {}
-        self._ext1 = {}
+        self.ind = knit_ind(spec.base)
+        self.n_ind = len(self.ind.dims)
+        self._proj_idx = {k: x for x, k in self.ind.proj.items()}
+        self._inj_idx = {k: x for x, k in self.ind.inj.items()}
+        self._tau_inv = {t: k for k, t in enumerate(self.ind.tau)
+                         if t is not None}
         self._pairs = None
 
-    def _find(self, M):
-        for k, N in enumerate(self.ind):
-            if repa.is_iso_a(N, M):
-                return k
-        raise TheoremViolation("module missing from the ind-A registry")
-
     def ind_name(self, k):
-        M = self.ind[k]
-        return "+".join(f"{v}^{M.dim[v]}" if M.dim[v] > 1 else v
-                        for v in M.quiver.vertices if M.dim[v])
-
-    def hom(self, a, b):
-        key = (a, b)
-        if key not in self._hom:
-            self._hom[key] = repa.hom_dim(self.ind[a], self.ind[b])
-        return self._hom[key]
-
-    def ext1(self, a, b):
-        key = (a, b)
-        if key not in self._ext1:
-            self._ext1[key] = repa.ext1_a(self.ind[a], self.ind[b])
-        return self._ext1[key]
+        return "+".join(f"{v}^{d}" if d > 1 else v
+                        for v, d in zip(self.spec.base.vertices,
+                                        self.ind.dims[k]) if d)
 
     # -- derived stalk calculus ---------------------------------------------------
 
     def _tau_stalk(self, stalk):
         k, d = stalk
         if k in self._proj_idx:
-            return (self._inj_of[self._proj_idx[k]], d - 1)
-        return (self._tau[k], d)
+            return (self.ind.inj[self._proj_idx[k]], d - 1)
+        return (self.ind.tau[k], d)
 
     def _tau_inv_stalk(self, stalk):
         k, d = stalk
         if k in self._inj_idx:
-            return (self._proj_of[self._inj_idx[k]], d + 1)
+            return (self.ind.proj[self._inj_idx[k]], d + 1)
         return (self._tau_inv[k], d)
 
     def _tau_power(self, stalk, e):
@@ -110,15 +82,15 @@ class ClusterContext:
     def _hom_derived(self, a, b):
         (ka, da), (kb, db) = a, b
         if db == da:
-            return self.hom(ka, kb)
+            return self.ind.hom[ka][kb]
         if db == da + 1:
-            return self.ext1(ka, kb)
+            return self.ind.ext1(ka, kb)
         return 0
 
     def stalk(self, obj: ClusterObject):
         if obj.kind == "module":
             return (obj.index, obj.degree)
-        return (self._proj_of[obj.index], obj.degree)
+        return (self.ind.proj[obj.index], obj.degree)
 
     # -- cluster Ext ------------------------------------------------------------
 

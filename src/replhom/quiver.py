@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Quiver", "ReplicationSpec", "QuiverError", "CycleFound", "Disconnected",
     "validate_hereditary", "grothendieck_rank", "replicated_vertex_set",
-    "load_quiver", "quiver_from_dict", "dynkin_type", "LVertex",
+    "load_quiver", "quiver_from_dict", "dynkin_type", "knit_ind", "IndTable",
+    "LVertex",
 ]
 
 
@@ -261,3 +263,65 @@ def dynkin_type(q: Quiver):
     if lengths[:2] == [1, 2] and lengths[2] in (2, 3, 4):
         return ("E", n)
     return None
+
+
+class IndTable(NamedTuple):
+    """Ind A in integers: dims[k] over q.vertices, tau[k] (None for a
+    projective), hom[a][b] = dim Hom(ind[a], ind[b]), positions of P(x)
+    and I(x) in proj[x] and inj[x]."""
+    dims: list
+    tau: list
+    hom: list
+    proj: dict
+    inj: dict
+
+    def ext1(self, a, b):
+        """dim Ext^1(ind[a], ind[b]) = dim Hom(ind[b], tau ind[a])."""
+        t = self.tau[a]
+        return 0 if t is None else self.hom[b][t]
+
+
+def knit_ind(q: Quiver) -> IndTable:
+    """Ind A of a Dynkin quiver knitted from dimension vectors, ordered
+    like repa.enumerate_ind: by total dimension, then dimension vector.
+
+    Node (x, r) is tau^{-r} P(x).  P(x) counts the paths out of x and
+    rad P(x) is the sum of P(y) over the arrows x -> y, so the arrows into
+    (x, r) come from (y, r) and, over the arrows z -> x, from (z, r - 1);
+    tau^{-1} X is the sum of X's successors minus X, up to an injective.
+    Round by round, sinks first, each node follows its predecessors, so
+    Hom(X, Y) = sum of Hom(X, E) over E -> Y - Hom(X, tau Y) + [X = Y].
+    """
+    paths, vs = q.paths(), q.vertices
+    injective = {tuple(len(paths[(y, x)]) for y in vs): x for x in vs}
+    sinks_first = q.topological_order()[::-1]
+
+    def preds(x, r):
+        return ([(q.arrow_tgt[a], r) for a in q.out_arrows[x]]
+                + [(q.arrow_src[a], r - 1) for a in q.in_arrows[x] if r])
+
+    nodes = {(x, 0): tuple(len(paths[(x, y)]) for y in vs)
+             for x in sinks_first}
+    knit, r = sinks_first, 0
+    while knit:
+        r += 1
+        knit = [x for x in knit if nodes[(x, r - 1)] not in injective]
+        for x in knit:
+            rows = [nodes[p] for p in preds(x, r)]
+            nodes[(x, r)] = tuple(sum(col) - d for col, d in
+                                  zip(zip(*rows), nodes[(x, r - 1)]))
+    hom = {node: {} for node in nodes}
+    for x, r in nodes:
+        into = preds(x, r)
+        for node, row in hom.items():
+            row[(x, r)] = (sum(row[p] for p in into) + (node == (x, r))
+                           - row.get((x, r - 1), 0))
+    order = sorted(nodes, key=lambda n: (sum(nodes[n]), nodes[n]))
+    rank = {n: k for k, n in enumerate(order)}
+    at = {nodes[n]: k for n, k in rank.items()}
+    return IndTable(
+        dims=[nodes[n] for n in order],
+        tau=[rank.get((x, r - 1)) for x, r in order],
+        hom=[[hom[a][b] for b in order] for a in order],
+        proj={x: rank[(x, 0)] for x in vs},
+        inj={x: at[d] for d, x in injective.items()})

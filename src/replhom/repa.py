@@ -383,31 +383,6 @@ def hom_dim(M, N):
     return len(hom_basis(M, N))
 
 
-def ext1_a(M: ARep, N: ARep) -> int:
-    """dim Ext^1 over the (hereditary) base algebra: dim Hom(P1, N) less the
-    rank of Hom(d, N) for the minimal presentation d: P1 -> P0 of M.  Block
-    (k, j) of Hom(d, N) is sum c_p N(p) over the paths p: x_j -> y_k in the
-    k-th generator column of d."""
-    if M.is_zero() or N.is_zero():
-        return 0
-    pres = minimal_presentation(M)
-    p0, p1 = pres.p0, pres.p1
-    col_offs = [0]
-    for x in p0.vertices:
-        col_offs.append(col_offs[-1] + N.dim[x])
-    rows = []
-    for k, y in enumerate(p1.vertices):
-        block = [[_ZERO] * col_offs[-1] for _ in range(N.dim[y])]
-        for (j, p), c in zip(p0.basis[y], pres.d.mats[y].col(p1.gen_pos(k))):
-            if c:
-                path = N.path_matrix(p0.vertices[j], p)
-                for brow, prow in zip(block, path.data):
-                    for t, a in enumerate(prow):
-                        brow[col_offs[j] + t] += c * a
-        rows += block
-    return len(rows) - QMatrix(len(rows), col_offs[-1], rows or None).rank()
-
-
 # ---------------------------------------------------------------------------
 # sub/quotient machinery
 # ---------------------------------------------------------------------------

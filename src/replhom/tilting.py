@@ -188,30 +188,29 @@ class TiltingContext:
         npaths = sum(len(paths[(x, y)]) for x in q.vertices for y in q.vertices)
         return (self.spec.m + 1) * npaths + self.spec.m * npaths
 
-    def is_faithful(self, summands, check_agreement=None) -> bool:
+    def is_faithful(self, summands) -> bool:
         """Faithful iff no nonzero algebra element kills every summand.
 
         Cross-checked against the projective-injective-summand criterion for
         exceptional candidates.
         """
-        summands = list(summands)
-        if not summands:
-            return False
+        by_annihilator = self._annihilator_is_zero(summands)
+        if self.is_exceptional(summands) and \
+                self.has_all_proj_inj(summands) != by_annihilator:
+            raise TheoremViolation(
+                "annihilator and projective-injective-summand "
+                "faithfulness criteria disagree")
+        return by_annihilator
+
+    def _annihilator_is_zero(self, summands) -> bool:
+        """is_faithful without the cross-check, for non-exceptional input."""
         # the system of the direct sum stacks the summands' systems, so its
         # rank is that of their stacked row bases
         span = Echelon(self.algebra_dim())
         for M in summands:
             for row in self._annihilator_rows(M):
                 span.add(row)
-        by_annihilator = span.rank == self.algebra_dim()
-        if check_agreement is None:
-            check_agreement = self.is_exceptional(summands)
-        if check_agreement:
-            if self.has_all_proj_inj(summands) != by_annihilator:
-                raise TheoremViolation(
-                    "annihilator and projective-injective-summand "
-                    "faithfulness criteria disagree")
-        return by_annihilator
+        return span.rank == self.algebra_dim()
 
     def sites_outside(self, summands):
         """The sites (x, i), in proj_sites order, whose projective P(x, i)
@@ -404,7 +403,8 @@ class TiltingContext:
         if not self.is_exceptional(summands):
             raise ValueError("complement construction needs an exceptional "
                              "module")
-        if not self.is_faithful(summands, check_agreement=True):
+        summands = _BasicExceptional(summands)
+        if not self.is_faithful(summands):
             raise ValueError("complement construction needs a faithful module")
         if dynkin_type(self.spec.base) == "kronecker":
             return self._complement_infinite(summands)
@@ -491,7 +491,8 @@ class TiltingContext:
         exceptional = self.is_exceptional(summands)
         if exceptional:
             summands = _BasicExceptional(summands)
-        faithful = self.is_faithful(summands, check_agreement=exceptional)
+        faithful = self.is_faithful(summands) if exceptional else \
+            self._annihilator_is_zero(summands)
         out = {
             "summands": len(summands),
             "projective_injective_summands": len(pi),

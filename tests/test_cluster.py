@@ -15,7 +15,7 @@ def cctx(spec_a2_m1):
 
 
 def ind_index(cctx, dims):
-    return next(k for k in range(cctx.n_ind) if cctx.ind[k].dim == dims)
+    return cctx.ind.dims.index(tuple(dims[v] for v in cctx.spec.base.vertices))
 
 
 def test_object_universe(cctx, a3):

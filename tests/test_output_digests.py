@@ -9,10 +9,17 @@ node order), shows here even where the small inputs' outputs agree.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from replhom.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 E7_AR_QUIVER_SHA256 = (
     "bea9ebb8984cca190cd27a873d12dd02c3fd44188f758b084aacd68cf0284737")
@@ -43,11 +50,47 @@ def test_ar_quiver_e7_m1_digest(tmp_path, capsys):
     assert hashlib.sha256(blob).hexdigest() == E7_AR_QUIVER_SHA256
 
 
+# E6 m = 1 verify peaked at 189 MB of RSS with the row-basis faithfulness
+# test and the chain from the projectives outside add T, and at 235 MB
+# before them (Linux x86-64, CPython 3.11); the bound leaves 15% room
+E6_VERIFY_PEAK_MB = 217
+
+# runs argv[2:], its stdout to the file argv[1], and prints the exit code
+# and the children's peak RSS (KiB)
+_PEAK_PROBE = ("import resource, subprocess, sys; "
+               "out = open(sys.argv[1], 'wb'); "
+               "code = subprocess.run(sys.argv[2:], stdout=out).returncode; "
+               "print(code, resource.getrusage("
+               "resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
 @pytest.mark.slow
-def test_verify_e6_m1_digest(tmp_path, capsys):
+def test_verify_e6_m1_digest(tmp_path):
+    """One E6 m = 1 `verify` in a fresh interpreter: every check passes,
+    the tilting objects number the Fuss-Catalan prod (mh + e_i + 1)/(e_i + 1)
+    = 833, the report is byte-identical to its pin, and the run stays under
+    its peak-RSS bound.  A probe process runs it, so that RUSAGE_CHILDREN
+    sees that run alone."""
+    h, exponents = 12, (1, 4, 5, 7, 8, 11)
+    fuss_catalan = Fraction(1)
+    for e in exponents:
+        fuss_catalan *= Fraction(h + e + 1, e + 1)
+    assert fuss_catalan == 833
     quiver = _write(tmp_path, "e6.json", ["1", "2", "3", "4", "5", "6"],
                     [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
                      ("d", "4", "5"), ("e", "6", "3")])
-    assert main(["verify", "--quiver", quiver, "--m", "1"]) == 0
-    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "stdout"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, str(out), sys.executable,
+         "-m", "replhom", "verify", "--quiver", quiver, "--m", "1"],
+        env=env, capture_output=True, text=True, timeout=1800)
+    code, peak_kb = result.stdout.split()
+    assert code == "0", result.stderr
+    stdout = out.read_bytes()
+    report = json.loads(stdout)
+    assert report["all"] == "pass"
+    assert report["tilting_count"] == 833
     assert hashlib.sha256(stdout).hexdigest() == E6_VERIFY_SHA256
+    assert int(peak_kb) / 1024 <= E6_VERIFY_PEAK_MB

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
+from replhom import repa
 from replhom.quiver import (CycleFound, Disconnected, Quiver, QuiverError,
                             ReplicationSpec, dynkin_type, grothendieck_rank,
-                            load_quiver, replicated_vertex_set,
+                            knit_ind, load_quiver, replicated_vertex_set,
                             validate_hereditary)
 
 
@@ -94,6 +96,48 @@ def test_dynkin_classifier(a2, a3, a4, d4, two_sinks, kronecker):
                 [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
                  ("d", "4", "5"), ("e", "6", "3")])
     assert dynkin_type(e6) == ("E", 6)
+
+
+def _seeded_dynkin(kind, n, seed):
+    """A kind_n diagram with shuffled vertex ids and seeded orientation."""
+    edges = [(i, i + 1) for i in range(n - 2)]
+    if n > 1:
+        edges.append((n - 2, n - 1) if kind == "A" else
+                     (n - 3, n - 1) if kind == "D" else (2, n - 1))
+    rng = random.Random(seed)
+    names = rng.sample([f"v{i}" for i in range(n)], n)
+    arrows = [(f"e{k}",) + tuple(names[v] for v in
+                                 (e if rng.random() < 0.5 else e[::-1]))
+              for k, e in enumerate(edges)]
+    return Quiver(names, arrows)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                     ("A", 5), ("D", 4), ("D", 5), ("D", 6),
+                                     ("E", 6), ("E", 7)])
+def test_knitted_ind_matches_the_module_route(kind, n, seed):
+    """Order against enumerate_ind, tau against tau_a, Hom against hom_dim
+    and Ext^1 against the Euler form <M, N> = dim Hom - dim Ext^1."""
+    q = _seeded_dynkin(kind, n, seed)
+    assert dynkin_type(q) == (kind, n)
+    table = knit_ind(q)
+    mods = repa.enumerate_ind(q)
+    assert table.dims == [M.dim_vector() for M in mods]
+    for k, M in enumerate(mods):
+        if repa.is_projective_a(M):
+            assert table.tau[k] is None
+        else:
+            assert table.dims[table.tau[k]] == repa.tau_a(M).dim_vector()
+    for x in q.vertices:
+        assert table.dims[table.proj[x]] == repa.projective(q, x).dim_vector()
+        assert table.dims[table.inj[x]] == repa.injective(q, x).dim_vector()
+    for a, M in enumerate(mods):
+        for b, N in enumerate(mods):
+            assert table.hom[a][b] == repa.hom_dim(M, N)
+            euler = (sum(M.dim[v] * N.dim[v] for v in q.vertices)
+                     - sum(M.dim[s] * N.dim[t] for _, s, t in q.arrows))
+            assert table.ext1(a, b) == table.hom[a][b] - euler
 
 
 def test_paths_deterministic(a3):

@@ -275,7 +275,7 @@ def _public_verdict(ctx, summands):
     makes its input basic and decides exceptionality again."""
     summands = ctx.basic(summands)
     exceptional = ctx.is_exceptional(summands)
-    faithful = ctx.is_faithful(summands, check_agreement=exceptional)
+    faithful = ctx.is_faithful(summands)
     out = {"summands": len(summands),
            "projective_injective_summands":
                len(ctx.split_candidate(summands)[1]),
@@ -563,7 +563,7 @@ def test_faithful_matches_the_stacked_rank(base, m, seed, request):
     seen = Counter()
     for cand in cands:
         exceptional = tctx.is_exceptional(cand)
-        got = tctx.is_faithful(cand, check_agreement=exceptional)
+        got = tctx.is_faithful(cand)
         assert got == _stacked_rank_faithful(tctx, cand)
         _assert_row_cache(tctx, cand)
         seen[exceptional, got] += 1
