@@ -70,9 +70,13 @@ class ARQuiver:
     # -- registry ------------------------------------------------------------
 
     def _lookup(self, module):
-        """The node isomorphic to module, or None."""
+        """The node isomorphic to module, or None.
+
+        The test caches its Hom basis on its first argument, so module goes
+        first: a node's cache would keep every module ever looked up
+        alive."""
         for idx in self._buckets.get(module.dim_vector(), ()):
-            if L.is_iso_rep(self.nodes[idx].module, module):
+            if L.is_iso_rep(module, self.nodes[idx].module):
                 return self.nodes[idx]
         return None
 

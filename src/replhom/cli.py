@@ -16,7 +16,8 @@ import sys
 from . import layered as L
 from .errors import (ClosureIncomplete, NoComplementFound, NotSupported,
                      TheoremViolation, WindowViolation)
-from .quiver import QuiverError, ReplicationSpec, dynkin_type, load_quiver
+from .quiver import (QuiverError, ReplicationSpec, dynkin_type, fuss_catalan,
+                     load_quiver)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -165,8 +166,14 @@ def _verify_dynkin(spec):
     if bij["violations"]:
         raise TheoremViolation(f"tilting bijection failed: "
                                f"{bij['violations'][0]}")
+    count = bij["module_side_count"]
+    expected = fuss_catalan(dynkin_type(spec.base), spec.m)
+    if count != expected:
+        raise TheoremViolation(
+            f"{count} tilting modules, but the Fuss-Catalan number is "
+            f"{expected}")
     report["tilting_bijection"] = "pass"
-    report["tilting_count"] = bij["module_side_count"]
+    report["tilting_count"] = count
     return report
 
 

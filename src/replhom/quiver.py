@@ -265,6 +265,39 @@ def dynkin_type(q: Quiver):
     return None
 
 
+# Coxeter number and exponents of E6, E7, E8 (Bourbaki, Lie groups ch. VI,
+# plates V-VII)
+_E_EXPONENTS = {6: (12, (1, 4, 5, 7, 8, 11)),
+                7: (18, (1, 5, 7, 9, 11, 13, 17)),
+                8: (30, (1, 7, 11, 13, 17, 19, 23, 29))}
+
+
+def coxeter_exponents(kind) -> tuple:
+    """(Coxeter number h, exponents e_1..e_n) of a Dynkin type as
+    dynkin_type returns it: A_n has h = n + 1 and exponents 1..n, D_n has
+    h = 2n - 2 and exponents 1, 3, ..., 2n - 3 and n - 1."""
+    letter, n = kind
+    if letter == "A":
+        return n + 1, tuple(range(1, n + 1))
+    if letter == "D":
+        return 2 * n - 2, tuple(sorted([*range(1, 2 * n - 2, 2), n - 1]))
+    return _E_EXPONENTS[n]
+
+
+def fuss_catalan(kind, m: int) -> int:
+    """The number of m-cluster tilting objects of a Dynkin type:
+    prod (m h + e_i + 1) / (e_i + 1) over the exponents (Fomin-Reading)."""
+    h, exponents = coxeter_exponents(kind)
+    num = den = 1
+    for e in exponents:
+        num *= m * h + e + 1
+        den *= e + 1
+    count, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"non-integral Fuss-Catalan number {num}/{den}")
+    return count
+
+
 class IndTable(NamedTuple):
     """Ind A in integers: dims[k] over q.vertices, tau[k] (None for a
     projective), hom[a][b] = dim Hom(ind[a], ind[b]), positions of P(x)

@@ -13,6 +13,22 @@ representation-infinite base keeps the chain of the whole regular module.
 On a representation-finite base the complement falls back to exhaustive
 search over the AR quiver.
 
+A context with an AR quiver takes the node route whenever every summand
+is isomorphic to an AR node; otherwise (the Kronecker base, a context
+without an AR quiver, a decomposable summand) it takes the module route.
+On the node route a module is named by its node, found once per module
+through the quiver's dimension-vector buckets and one isomorphism test, so
+basicness, the projective sites and the projective-injective summands are
+read off node ids, and Ext vanishing is decided once per ordered node pair.
+The coresolution is taken node by node.  The minimal left approximation of
+an indecomposable X into add T depends only on X and on the summands T_j
+with Hom(X, T_j) != 0, so one step is computed, verified and memoized per
+(node, that Hom-support): stalled, or the AR nodes of its cokernel.  As
+approximations are additive, the chain of the projectives outside add T
+completes exactly when every one of them reaches zero within 2m+1 steps.
+The module route builds the chain out of cokernel modules; the tests use
+it as the oracle of the node route.
+
 An approximation picks its representatives of Hom(M, T_j) modulo radical
 maps against one echelon form per target T_j, and is then checked exactly:
 every map M -> T_j must factor through it, which is decided by one batched
@@ -26,7 +42,7 @@ from functools import cache, cached_property
 
 from . import layered as L
 from . import repa
-from .errors import NoComplementFound, TheoremViolation
+from .errors import ClosureIncomplete, NoComplementFound, TheoremViolation
 from .linalg import Echelon, QMatrix
 from .quiver import ReplicationSpec, dynkin_type
 
@@ -82,6 +98,37 @@ class TiltingContext:
         self.proj_inj = [self.projectives[(x, i)] for x, i in self.proj_sites
                          if i >= 1]
         self.regular = L.lproj_sum(spec, tuple(self.proj_sites))
+        # the node route (see the module docstring): the node of each module
+        # met, by id, with the module kept so the id stays its own; Ext
+        # verdicts per ordered node pair; Hom(a, b) != 0 per node pair; and
+        # the approximation steps per (node, Hom-support in T)
+        self._node_of = {}
+        self._ext = {}
+        self._hom_nonzero = {}
+        self._steps = {}
+        self._site_nodes = {} if arq is None else {
+            node.proj_site: node.idx for node in arq.nodes
+            if node.is_projective}
+
+    # -- node identity -----------------------------------------------------------
+
+    def _node_id(self, M):
+        """The index of the AR node isomorphic to M, or None."""
+        hit = self._node_of.get(id(M))
+        if hit is None or hit[0] is not M:
+            node = self.arq._lookup(M)
+            hit = self._node_of[id(M)] = (M, None if node is None
+                                          else node.idx)
+        return hit[1]
+
+    def node_ids(self, summands):
+        """The AR node index of every summand, in order, or None when the
+        context has no AR quiver or some summand is isomorphic to no node:
+        whether the node route applies."""
+        if self.arq is None:
+            return None
+        ids = [self._node_id(M) for M in summands]
+        return None if None in ids else ids
 
     # -- candidates -----------------------------------------------------------
 
@@ -89,6 +136,12 @@ class TiltingContext:
         """Deduplicate a summand list up to isomorphism (order-preserving)."""
         if isinstance(summands, _BasicExceptional):
             return summands
+        ids = self.node_ids(summands)
+        if ids is not None:
+            first = {}
+            for s, idx in zip(summands, ids):
+                first.setdefault(idx, s)
+            return list(first.values())
         out = []
         for s in summands:
             if not any(L.is_iso_rep(s, t) for t in out):
@@ -105,14 +158,36 @@ class TiltingContext:
     # -- exceptionality ---------------------------------------------------------
 
     def ext_vanishes(self, X, Y) -> bool:
-        return all(L.ext_dim(X, Y, i) == 0
-                   for i in range(1, ext_horizon(self.spec) + 1))
+        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1."""
+        return self._vanishes(((X, Y),))
 
     def compatible(self, X, Y) -> bool:
-        """Ext^i vanishes both ways for 1 <= i <= 2m+1, tried degree by
-        degree."""
-        return all(L.ext_dim(X, Y, i) == 0 and L.ext_dim(Y, X, i) == 0
-                   for i in range(1, ext_horizon(self.spec) + 1))
+        """Ext^i vanishes both ways for 1 <= i <= 2m+1."""
+        return self._vanishes(((X, Y), (Y, X)))
+
+    def _vanishes(self, pairs) -> bool:
+        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1 and every (X, Y) in pairs,
+        tried degree by degree.  When X and Y are AR nodes the verdict is
+        kept per ordered node pair once decided."""
+        keys = []
+        for X, Y in pairs:
+            key = self.node_ids((X, Y))
+            key = None if key is None else tuple(key)
+            known = self._ext.get(key)
+            if known is False:
+                return False
+            if known is None:
+                keys.append((X, Y, key))
+        for i in range(1, ext_horizon(self.spec) + 1):
+            for X, Y, key in keys:
+                if L.ext_dim(X, Y, i):
+                    if key is not None:
+                        self._ext[key] = False
+                    return False
+        for _, _, key in keys:
+            if key is not None:
+                self._ext[key] = True
+        return True
 
     def is_exceptional(self, summands) -> bool:
         if isinstance(summands, _BasicExceptional):
@@ -215,11 +290,18 @@ class TiltingContext:
     def sites_outside(self, summands):
         """The sites (x, i), in proj_sites order, whose projective P(x, i)
         is isomorphic to no summand."""
+        ids = self.node_ids(summands)
+        if ids is not None:
+            ids = set(ids)
+            return tuple(site for site in self.proj_sites
+                         if self._site_nodes[site] not in ids)
         return tuple(site for site in self.proj_sites
                      if not any(L.is_iso_rep(self.projectives[site], s)
                                 for s in summands))
 
     def has_all_proj_inj(self, summands) -> bool:
+        if self.node_ids(summands) is not None:
+            return all(i == 0 for _, i in self.sites_outside(summands))
         return all(any(L.is_iso_rep(p, s) for s in summands)
                    for p in self.proj_inj)
 
@@ -357,6 +439,76 @@ class TiltingContext:
             cur = coker
         return chain
 
+    # -- the chain node by node ----------------------------------------------------
+
+    def _nodes_complete(self, starts, ids) -> bool:
+        """Whether the chain of each node in starts reaches zero within 2m+1
+        approximations into add T, T the nodes in ids.
+
+        approximation_chain tests for zero before each of its at most 2m+2
+        approximations, so it completes when zero comes within 2m+1 of
+        them.  Approximations are additive, so the chain of a sum does that
+        exactly when the chain of each summand does: a node's chain
+        completes within k approximations when its step is mono and the
+        chain of every node of the cokernel completes within k - 1."""
+        T = set(ids)
+        done = {}
+
+        def completes(idx, left):
+            if left == 0:
+                return False
+            key = idx, left
+            if key not in done:
+                support = frozenset(j for j in T
+                                    if self._hom_is_nonzero(idx, j))
+                coker = self._node_step(idx, support)
+                done[key] = coker is not None and all(
+                    completes(c, left - 1) for c in coker)
+            return done[key]
+
+        horizon = ext_horizon(self.spec)
+        return all(completes(idx, horizon) for idx in starts)
+
+    def _hom_is_nonzero(self, a, b) -> bool:
+        key = a, b
+        hit = self._hom_nonzero.get(key)
+        if hit is None:
+            nodes = self.arq.nodes
+            hit = self._hom_nonzero[key] = bool(
+                L.hom_basis_rep(nodes[a].module, nodes[b].module))
+        return hit
+
+    def _node_step(self, idx, support):
+        """One approximation step of node idx into add of the nodes support,
+        memoized: None when the approximation is not mono, else the sorted
+        node indices of its cokernel's summands (empty when it is zero).
+
+        The minimal left approximation into add T needs only the T_j with
+        Hom(node, T_j) != 0, so support (those T_j) fixes it; it is built
+        and verified by minimal_left_approximation once per key."""
+        key = idx, support
+        if key in self._steps:
+            return self._steps[key]
+        nodes = self.arq.nodes
+        _, f = self.minimal_left_approximation(
+            nodes[idx].module, [nodes[j].module for j in sorted(support)])
+        out = None
+        if f.is_mono():
+            coker, _ = L.cokernel_rep(f)
+            out = () if coker.is_zero() else tuple(sorted(
+                {self._cokernel_node(s, idx) for s in L.decompose_rep(coker)}))
+        self._steps[key] = out
+        return out
+
+    def _cokernel_node(self, X, idx) -> int:
+        node = self.arq._lookup(X)
+        if node is None:
+            raise ClosureIncomplete(
+                f"cokernel summand with dimension vector "
+                f"{_dims(self.spec, X)} of the approximation step at "
+                f"n{idx} is no AR node", witness=X)
+        return node.idx
+
     # -- tilting -------------------------------------------------------------------
 
     def is_tilting(self, summands) -> bool:
@@ -365,7 +517,9 @@ class TiltingContext:
         A minimal left approximation of a module in add T is an isomorphism,
         and minimal approximations are additive, so the chain of A = sum of
         the P(x, i) completes exactly when the chain of the P(x, i) outside
-        add T does; only those are coresolved.  The counting shortcut
+        add T does; only those are coresolved, node by node on the node
+        route (_nodes_complete), else by approximation_chain.  The counting
+        shortcut
         (basic + faithful + pd <= m + rank-many summands) is asserted
         equivalent whenever its hypotheses hold.
         """
@@ -374,9 +528,14 @@ class TiltingContext:
         if not self.is_exceptional(summands):
             return False
         rest = self.sites_outside(summands)
-        chain = self.approximation_chain(
-            summands, start=L.lproj_sum(self.spec, rest).module)
-        primary = chain.completed
+        ids = self.node_ids(summands)
+        if ids is None:
+            chain = self.approximation_chain(
+                summands, start=L.lproj_sum(self.spec, rest).module)
+            primary = chain.completed
+        else:
+            primary = self._nodes_complete(
+                [self._site_nodes[site] for site in rest], ids)
         # faithful: every projective-injective P(x, i), i >= 1, is in add T
         if (len(summands) == n_rank and self.pd(summands) <= self.spec.m
                 and all(i == 0 for _, i in rest)):
@@ -447,11 +606,18 @@ class TiltingContext:
             raise ValueError("representation-finite complement search needs "
                              "an AR quiver")
         n_rank = self.spec.base.n * (self.spec.m + 1)
+        ids = self.node_ids(summands)
         pool = []
         for node in self.arq.nodes:
-            if self.arq.pd(node.idx) <= self.spec.m:
-                if not any(L.is_iso_rep(node.module, s) for s in summands):
-                    pool.append(node.module)
+            if self.arq.pd(node.idx) > self.spec.m:
+                continue
+            if ids is not None:
+                outside = node.idx not in ids
+            else:
+                outside = not any(L.is_iso_rep(node.module, s)
+                                  for s in summands)
+            if outside:
+                pool.append(node.module)
         need = n_rank - len(summands)
         if need < 0:
             raise NoComplementFound("candidate already exceeds the rank")
@@ -505,16 +671,18 @@ class TiltingContext:
                 and out["pd"] <= self.spec.m:
             try:
                 comp = self.bongartz_complement(summands)
-                out["complement"] = [
-                    {"dims": {f"{v}_{l}": X.layers[l].dim[v]
-                              for l in range(self.spec.m + 1)
-                              for v in self.spec.base.vertices
-                              if X.layers[l].dim[v]}}
-                    for X in comp]
+                out["complement"] = [{"dims": _dims(self.spec, X)}
+                                      for X in comp]
                 out["complement_verified"] = True
             except NoComplementFound as exc:
                 out["complement_error"] = str(exc)
         return out
+
+
+def _dims(spec, X):
+    """X's nonzero dimensions keyed "<vertex>_<layer>"."""
+    return {f"{v}_{l}": X.layers[l].dim[v] for l in range(spec.m + 1)
+            for v in spec.base.vertices if X.layers[l].dim[v]}
 
 
 def _vectorize(f: L.LModMorphism):

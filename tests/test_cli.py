@@ -159,6 +159,28 @@ def test_verify_fault_injection(a2_file, capsys):
     assert "witness" in detail
 
 
+def test_verify_catches_a_wrong_tilting_count(a2_file, monkeypatch,
+                                              capsys):
+    # one tilting module too many on the module side: the bijection report
+    # has no violation, but the count is not the Fuss-Catalan number 5
+    import replhom.cluster as cluster
+    real = cluster.verify_bijection
+
+    def one_more(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report["module_side_count"] += 1
+        return report
+
+    monkeypatch.setattr(cluster, "verify_bijection", one_more)
+    code, stdout, err = run(capsys, "verify", "--quiver", a2_file, "--m", "1")
+    assert code == 1
+    assert stdout == ""
+    detail = json.loads(err)
+    assert detail["error"] == "TheoremViolation"
+    assert "6 tilting modules" in detail["detail"]
+    assert "Fuss-Catalan number is 5" in detail["detail"]
+
+
 def test_seed_is_rejected(a2_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ar-quiver", "--quiver", a2_file, "--m", "1",

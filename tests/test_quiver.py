@@ -5,8 +5,9 @@ import pytest
 
 from replhom import repa
 from replhom.quiver import (CycleFound, Disconnected, Quiver, QuiverError,
-                            ReplicationSpec, dynkin_type, grothendieck_rank,
-                            knit_ind, load_quiver, replicated_vertex_set,
+                            ReplicationSpec, coxeter_exponents, dynkin_type,
+                            fuss_catalan, grothendieck_rank, knit_ind,
+                            load_quiver, replicated_vertex_set,
                             validate_hereditary)
 
 
@@ -138,6 +139,32 @@ def test_knitted_ind_matches_the_module_route(kind, n, seed):
             euler = (sum(M.dim[v] * N.dim[v] for v in q.vertices)
                      - sum(M.dim[s] * N.dim[t] for _, s, t in q.arrows))
             assert table.ext1(a, b) == table.hom[a][b] - euler
+
+
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 4), ("D", 4), ("D", 5),
+                                     ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
+def test_coxeter_exponents_count_the_knitted_ind(kind, n):
+    """The exponents pair up to h and sum to the number of positive roots,
+    which is |ind A| by Gabriel's theorem."""
+    h, exponents = coxeter_exponents((kind, n))
+    assert len(exponents) == n
+    assert sorted(h - e for e in exponents) == list(exponents)
+    assert sum(exponents) == n * h // 2
+    assert len(knit_ind(_seeded_dynkin(kind, n, 0)).dims) == sum(exponents)
+
+
+def test_fuss_catalan_numbers():
+    # m = 1: the Catalan numbers on A_n, and the counts of tilting objects
+    # the verify suite finds
+    assert [fuss_catalan(("A", n), 1) for n in range(1, 6)] == \
+        [2, 5, 14, 42, 132]
+    assert fuss_catalan(("D", 4), 1) == 50
+    assert fuss_catalan(("D", 5), 1) == 182
+    assert fuss_catalan(("E", 6), 1) == 833
+    assert fuss_catalan(("E", 7), 1) == 4160
+    assert fuss_catalan(("E", 8), 1) == 25080
+    assert fuss_catalan(("A", 4), 2) == 273
+    assert fuss_catalan(("A", 2), 2) == 12
 
 
 def test_paths_deterministic(a3):

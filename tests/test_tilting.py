@@ -6,7 +6,7 @@ from itertools import combinations, islice
 import pytest
 
 from replhom.arquiver import ARQuiver
-from replhom.errors import TheoremViolation
+from replhom.errors import ClosureIncomplete, TheoremViolation
 from replhom.linalg import NoSolution, QMatrix
 from replhom.quiver import ReplicationSpec
 from replhom.tilting import (TiltingContext, _stack, compatible_sets,
@@ -292,35 +292,50 @@ def _public_verdict(ctx, summands):
     return out
 
 
-def _counted(monkeypatch, names):
+def _counted(owner, names, patch=setattr):
+    """Count the calls of owner's attributes names, each replaced through
+    patch by a counting wrapper."""
     counts = Counter()
     for name in names:
-        def wrapped(*args, _f=getattr(L, name), _name=name):
+        def wrapped(*args, _f=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(L, name, wrapped)
+            return _f(*args, **kwargs)
+        patch(owner, name, wrapped)
     return counts
 
 
-def test_verdict_decides_basic_and_exceptional_once(ctx, mods, monkeypatch):
+def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
+                                                    mods, monkeypatch):
     # the verdict equals the one the public methods give, with fewer Ext
     # and isomorphism questions on every exceptional candidate of a
-    # complement search; a candidate with a repeated summand stays basic
-    counts = _counted(monkeypatch, ("ext_dim", "is_iso_rep"))
+    # complement search; a candidate with a repeated summand stays basic.
+    # The context answers a repeated question about AR nodes from its own
+    # memo, so the questions are counted where it is asked them
+    # (_vanishes, _node_id), each route on a fresh context; the layered
+    # Ext and isomorphism work is no more than the public route's.
+    asked = _counted(TiltingContext, ("_vanishes", "_node_id"),
+                     monkeypatch.setattr)
+    work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
     pis = [M for M in mods.values() if L.is_proj_inj(M)]
     rest = [M for M in mods.values() if not L.is_proj_inj(M)]
     compared = 0
     for a, b in combinations(rest, 2):
         cand = pis + [a, b, a]
-        counts.clear()
-        want = _public_verdict(ctx, cand)
-        public = dict(counts)
-        counts.clear()
-        got = ctx.verdict(cand, want_complement=True)
+        asked.clear()
+        work.clear()
+        want = _public_verdict(TiltingContext(spec_a2_m1, arq=arq_a2_m1),
+                               cand)
+        public_asked, public_work = dict(asked), dict(work)
+        asked.clear()
+        work.clear()
+        got = TiltingContext(spec_a2_m1, arq=arq_a2_m1).verdict(
+            cand, want_complement=True)
         assert got == want
         if "complement" in got:
-            assert counts["ext_dim"] < public["ext_dim"]
-            assert counts["is_iso_rep"] < public["is_iso_rep"]
+            assert asked["_vanishes"] < public_asked["_vanishes"]
+            assert asked["_node_id"] < public_asked["_node_id"]
+            assert work["ext_dim"] <= public_work["ext_dim"]
+            assert work["is_iso_rep"] <= public_work["is_iso_rep"]
             compared += 1
     assert compared >= 5
 
@@ -390,23 +405,33 @@ def test_compatible_sets_ask_each_verdict_once():
 def _reduced_chain_cases(q, m, stride=1):
     """For every compatible set T of AR nodes up to rank (every stride-th
     in enumeration order), is_tilting(T) must equal the verdict of the
-    chain of the full regular module.  Returns how often the reduced chain
-    started from a projective-injective, from layer-0 projectives alone, or
-    from nothing, and how many T were tilting."""
+    chain of the full regular module, built by the module route.  Each
+    is_tilting must take the node route and run one minimal approximation
+    per new memo key.  Returns how often the reduced chain started from a
+    projective-injective, from layer-0 projectives alone, or from nothing,
+    and how many T were tilting."""
     spec = ReplicationSpec(q, m)
     arq = ARQuiver(spec)
     tctx = TiltingContext(spec, arq=arq)
     mods = [node.module for node in arq.nodes]
     rank = q.n * (m + 1)
     seen = Counter()
+    calls = _counted(tctx, ("approximation_chain",
+                             "minimal_left_approximation"))
     sets = compatible_sets(
         len(mods), lambda a, b: tctx.compatible(mods[a], mods[b]), rank)
     for idxs in islice(sets, 0, None, stride):
         T = tctx.basic([mods[i] for i in idxs])
+        assert tctx.node_ids(T) == list(idxs)
         assert tctx.is_exceptional(T)
         full = tctx.approximation_chain(T)
         assert full.start is tctx.regular.module
+        before, keys = Counter(calls), len(tctx._steps)
         tilting = tctx.is_tilting(T)
+        assert calls["approximation_chain"] == before["approximation_chain"]
+        assert (calls["minimal_left_approximation"]
+                - before["minimal_left_approximation"]
+                == len(tctx._steps) - keys)
         assert tilting == full.completed, idxs
         rest = tctx.sites_outside(T)
         if not rest:
@@ -446,6 +471,24 @@ def test_reduced_chain_agrees_with_the_full_chain_a3_m2(a3):
     assert seen["tilting"] == 200
 
 
+def test_reduced_chain_agrees_on_d4_m1_sample(d4):
+    """Every 40th of the 24,175 compatible sets of D4 with m = 1."""
+    seen = _reduced_chain_cases(d4, 1, stride=40)
+    assert seen["projective-injective in start"] > 0
+    assert seen["layer-0 start"] > 0
+    assert seen["tilting"] > 0
+
+
+@pytest.mark.slow
+def test_reduced_chain_agrees_with_the_full_chain_d4_m1(d4):
+    """All 24,175 compatible sets of D4 with m = 1."""
+    seen = _reduced_chain_cases(d4, 1)
+    assert seen["empty start"] == 1
+    assert seen["projective-injective in start"] > 0
+    assert seen["layer-0 start"] > 0
+    assert seen["tilting"] == 336
+
+
 def test_reduced_chain_start_sites(ctx, mods):
     projectives = [mods["a0"], mods["b0/a0"], mods["a1/b0/a0"],
                    mods["b1/a1/b0"]]
@@ -461,19 +504,118 @@ def test_reduced_chain_start_sites(ctx, mods):
         (("a", 0), ("b", 0))
 
 
+def _counting_criterion_case(mods):
+    """A tilting candidate the counting criterion covers whose chain starts
+    from the layer-0 projectives P(a, 0) and P(b, 0)."""
+    return [mods["a1/b0/a0"], mods["b1/a1/b0"], mods["a1/b0"], mods["a1"]]
+
+
 def test_counting_criterion_catches_a_chain_that_does_not_complete(
-        ctx, mods, monkeypatch):
-    T = [mods["a0"], mods["b0/a0"], mods["a1/b0/a0"], mods["b1/a1/b0"]]
-    real = ctx.approximation_chain
+        spec_a2_m1, arq_a2_m1, mods, monkeypatch):
+    # node route: one memoized approximation step reports a stall
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
+    T = _counting_criterion_case(mods)
+    assert tctx.node_ids(T) is not None
+    assert tctx.sites_outside(T) == (("a", 0), ("b", 0))
+    assert tctx.pd(T) <= 1
+    real = tctx._node_step
+    stalled = []
+
+    def one_stall(idx, support):
+        if not stalled:
+            stalled.append((idx, support))
+            return None
+        return real(idx, support)
+
+    monkeypatch.setattr(tctx, "_node_step", one_stall)
+    with pytest.raises(TheoremViolation, match="counting criterion"):
+        tctx.is_tilting(T)
+    assert stalled
+    monkeypatch.undo()
+    assert tctx.is_tilting(T)
+
+
+def test_counting_criterion_catches_a_module_chain_that_does_not_complete(
+        spec_a2_m1, mods, monkeypatch):
+    # module route (no AR quiver): the chain is reported incomplete
+    tctx = TiltingContext(spec_a2_m1)
+    T = _counting_criterion_case(mods)
+    assert tctx.node_ids(T) is None
+    real = tctx.approximation_chain
 
     def not_completed(summands, max_steps=None, start=None):
         chain = real(summands, max_steps, start)
+        assert chain.completed
         chain.completed = False
         return chain
 
-    monkeypatch.setattr(ctx, "approximation_chain", not_completed)
+    monkeypatch.setattr(tctx, "approximation_chain", not_completed)
     with pytest.raises(TheoremViolation, match="counting criterion"):
-        ctx.is_tilting(T)
+        tctx.is_tilting(T)
+
+
+def test_module_route_serves_kronecker_and_non_node_summands(
+        kronecker, spec_a2_m1, arq_a2_m1, mods):
+    """Without an AR quiver, or with a summand isomorphic to no AR node,
+    is_tilting builds the chain of modules; a summand that is a copy of a
+    node takes the node route.  Each verdict is the one the chain of the
+    whole regular module gives."""
+    kctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    calls = _counted(kctx, ("approximation_chain",))
+    for cand in sample_faithful_exceptional(kctx, 6, 4):
+        full = kctx.basic(cand + kctx.bongartz_complement(cand))
+        assert kctx.node_ids(full) is None
+        before = calls["approximation_chain"]
+        assert kctx.is_tilting(full)
+        assert calls["approximation_chain"] == before + 1
+    assert not kctx._steps
+
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
+    calls = _counted(tctx, ("approximation_chain",))
+    pis = [mods["a1/b0/a0"], mods["b1/a1/b0"]]
+    tilting = pis + [mods["a1/b0"], mods["a1"]]
+    summed = [  # a direct sum of two nodes as one summand
+        [L.layered_direct_sum(tctx.spec, [mods["a0"], mods["b0/a0"]])] + pis,
+        pis + [L.layered_direct_sum(tctx.spec, tilting[2:])],
+        [L.layered_direct_sum(tctx.spec, pis), mods["a0"], mods["b0/a0"]]]
+    for T in summed:
+        assert tctx.node_ids(T) is None
+        assert tctx.is_exceptional(T)
+        before = calls["approximation_chain"]
+        assert not tctx.is_tilting(T)
+        assert calls["approximation_chain"] == before + 1
+        assert not tctx.approximation_chain(T).completed
+    assert not tctx._steps
+    copies = [L.LayeredModule.from_dict(tctx.spec, M.to_dict())
+              for M in tilting]
+    assert tctx.node_ids(copies) == tctx.node_ids(tilting)
+    before = calls["approximation_chain"]
+    assert tctx.is_tilting(copies)
+    assert calls["approximation_chain"] == before
+    assert tctx._steps
+
+
+def test_cokernel_summand_without_a_node_names_its_step(
+        spec_a2_m1, arq_a2_m1, mods, monkeypatch):
+    """A cokernel summand the AR quiver does not hold stops the node route
+    with its dimension vector and the node whose step produced it."""
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
+    T = _counting_criterion_case(mods)
+    ids = tctx.node_ids(T)
+    real = arq_a2_m1._lookup
+    known = {id(M) for M in T}
+    monkeypatch.setattr(arq_a2_m1, "_lookup",
+                        lambda M: real(M) if id(M) in known else None)
+    with pytest.raises(ClosureIncomplete) as exc:
+        tctx.is_tilting(T)
+    X = exc.value.witness
+    assert not tctx._steps          # the failing step is not memoized
+    # the chain starts from P(a, 0), whose cokernel is the node a1/b0
+    assert real(X) is arq_a2_m1.nodes[ids[2]]
+    start = tctx._site_nodes[("a", 0)]
+    assert (f"cokernel summand with dimension vector {{'b_0': 1, 'a_1': 1}} "
+            f"of the approximation step at n{start} is no AR node"
+            == str(exc.value))
 
 
 # -- faithfulness from cached row bases --------------------------------------------
