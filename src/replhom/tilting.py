@@ -16,18 +16,17 @@ search over the AR quiver.
 A context with an AR quiver takes the node route whenever every summand
 is isomorphic to an AR node; otherwise (the Kronecker base, a context
 without an AR quiver, a decomposable summand) it takes the module route.
-On the node route a module is named by its node, found once per module
-through the quiver's dimension-vector buckets and one isomorphism test, so
-basicness, the projective sites and the projective-injective summands are
-read off node ids, and Ext vanishing is decided once per ordered node pair.
-The coresolution is taken node by node.  The minimal left approximation of
-an indecomposable X into add T depends only on X and on the summands T_j
-with Hom(X, T_j) != 0, so one step is computed, verified and memoized per
-(node, that Hom-support): stalled, or the AR nodes of its cokernel.  As
-approximations are additive, the chain of the projectives outside add T
-completes exactly when every one of them reaches zero within 2m+1 steps.
-The module route builds the chain out of cokernel modules; the tests use
-it as the oracle of the node route.
+A context with an AR quiver names a module by its node, found once per
+module through the quiver's dimension-vector buckets and one isomorphism
+test, and compares two modules by their nodes when either has one.  On the
+node route the coresolution is taken node by node.  The minimal left
+approximation of an indecomposable X into add T depends only on X and on
+the summands T_j with Hom(X, T_j) != 0, so one step is computed, verified
+and memoized per (node, that Hom-support): stalled, or the AR nodes of its
+cokernel.  As approximations are additive, the chain of the projectives
+outside add T completes exactly when every one of them reaches zero within
+2m+1 steps.  The module route builds the chain out of cokernel modules;
+the tests use it as the oracle of the node route.
 
 An approximation picks its representatives of Hom(M, T_j) modulo radical
 maps against one echelon form per target T_j, and is then checked exactly:
@@ -99,12 +98,9 @@ class TiltingContext:
                          if i >= 1]
         self.regular = L.lproj_sum(spec, tuple(self.proj_sites))
         # the node route (see the module docstring): the node of each module
-        # met, by id, with the module kept so the id stays its own; Ext
-        # verdicts per ordered node pair; Hom(a, b) != 0 per node pair; and
-        # the approximation steps per (node, Hom-support in T)
+        # met, by id, with the module kept so the id stays its own, and the
+        # approximation steps per (node, Hom-support in T)
         self._node_of = {}
-        self._ext = {}
-        self._hom_nonzero = {}
         self._steps = {}
         self._site_nodes = {} if arq is None else {
             node.proj_site: node.idx for node in arq.nodes
@@ -115,11 +111,20 @@ class TiltingContext:
     def _node_id(self, M):
         """The index of the AR node isomorphic to M, or None."""
         hit = self._node_of.get(id(M))
-        if hit is None or hit[0] is not M:
+        if hit is None:
             node = self.arq._lookup(M)
             hit = self._node_of[id(M)] = (M, None if node is None
                                           else node.idx)
         return hit[1]
+
+    def _same(self, X, Y) -> bool:
+        """Whether X and Y are isomorphic: by their AR nodes when either is
+        isomorphic to one, else by an isomorphism test."""
+        if self.arq is not None:
+            a, b = self._node_id(X), self._node_id(Y)
+            if a is not None or b is not None:
+                return a == b
+        return L.is_iso_rep(X, Y)
 
     def node_ids(self, summands):
         """The AR node index of every summand, in order, or None when the
@@ -136,15 +141,9 @@ class TiltingContext:
         """Deduplicate a summand list up to isomorphism (order-preserving)."""
         if isinstance(summands, _BasicExceptional):
             return summands
-        ids = self.node_ids(summands)
-        if ids is not None:
-            first = {}
-            for s, idx in zip(summands, ids):
-                first.setdefault(idx, s)
-            return list(first.values())
         out = []
         for s in summands:
-            if not any(L.is_iso_rep(s, t) for t in out):
+            if not any(self._same(s, t) for t in out):
                 out.append(s)
         return out
 
@@ -158,36 +157,14 @@ class TiltingContext:
     # -- exceptionality ---------------------------------------------------------
 
     def ext_vanishes(self, X, Y) -> bool:
-        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1."""
-        return self._vanishes(((X, Y),))
+        return all(L.ext_dim(X, Y, i) == 0
+                   for i in range(1, ext_horizon(self.spec) + 1))
 
     def compatible(self, X, Y) -> bool:
-        """Ext^i vanishes both ways for 1 <= i <= 2m+1."""
-        return self._vanishes(((X, Y), (Y, X)))
-
-    def _vanishes(self, pairs) -> bool:
-        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1 and every (X, Y) in pairs,
-        tried degree by degree.  When X and Y are AR nodes the verdict is
-        kept per ordered node pair once decided."""
-        keys = []
-        for X, Y in pairs:
-            key = self.node_ids((X, Y))
-            key = None if key is None else tuple(key)
-            known = self._ext.get(key)
-            if known is False:
-                return False
-            if known is None:
-                keys.append((X, Y, key))
-        for i in range(1, ext_horizon(self.spec) + 1):
-            for X, Y, key in keys:
-                if L.ext_dim(X, Y, i):
-                    if key is not None:
-                        self._ext[key] = False
-                    return False
-        for _, _, key in keys:
-            if key is not None:
-                self._ext[key] = True
-        return True
+        """Ext^i vanishes both ways for 1 <= i <= 2m+1, tried degree by
+        degree."""
+        return all(L.ext_dim(X, Y, i) == 0 and L.ext_dim(Y, X, i) == 0
+                   for i in range(1, ext_horizon(self.spec) + 1))
 
     def is_exceptional(self, summands) -> bool:
         if isinstance(summands, _BasicExceptional):
@@ -290,20 +267,12 @@ class TiltingContext:
     def sites_outside(self, summands):
         """The sites (x, i), in proj_sites order, whose projective P(x, i)
         is isomorphic to no summand."""
-        ids = self.node_ids(summands)
-        if ids is not None:
-            ids = set(ids)
-            return tuple(site for site in self.proj_sites
-                         if self._site_nodes[site] not in ids)
         return tuple(site for site in self.proj_sites
-                     if not any(L.is_iso_rep(self.projectives[site], s)
+                     if not any(self._same(self.projectives[site], s)
                                 for s in summands))
 
     def has_all_proj_inj(self, summands) -> bool:
-        if self.node_ids(summands) is not None:
-            return all(i == 0 for _, i in self.sites_outside(summands))
-        return all(any(L.is_iso_rep(p, s) for s in summands)
-                   for p in self.proj_inj)
+        return all(i == 0 for _, i in self.sites_outside(summands))
 
     # -- minimal left approximations -------------------------------------------
 
@@ -452,6 +421,7 @@ class TiltingContext:
         completes within k approximations when its step is mono and the
         chain of every node of the cokernel completes within k - 1."""
         T = set(ids)
+        nodes = self.arq.nodes
         done = {}
 
         def completes(idx, left):
@@ -459,8 +429,8 @@ class TiltingContext:
                 return False
             key = idx, left
             if key not in done:
-                support = frozenset(j for j in T
-                                    if self._hom_is_nonzero(idx, j))
+                support = frozenset(j for j in T if L.hom_basis_rep(
+                    nodes[idx].module, nodes[j].module))
                 coker = self._node_step(idx, support)
                 done[key] = coker is not None and all(
                     completes(c, left - 1) for c in coker)
@@ -468,15 +438,6 @@ class TiltingContext:
 
         horizon = ext_horizon(self.spec)
         return all(completes(idx, horizon) for idx in starts)
-
-    def _hom_is_nonzero(self, a, b) -> bool:
-        key = a, b
-        hit = self._hom_nonzero.get(key)
-        if hit is None:
-            nodes = self.arq.nodes
-            hit = self._hom_nonzero[key] = bool(
-                L.hom_basis_rep(nodes[a].module, nodes[b].module))
-        return hit
 
     def _node_step(self, idx, support):
         """One approximation step of node idx into add of the nodes support,
@@ -606,17 +567,11 @@ class TiltingContext:
             raise ValueError("representation-finite complement search needs "
                              "an AR quiver")
         n_rank = self.spec.base.n * (self.spec.m + 1)
-        ids = self.node_ids(summands)
         pool = []
         for node in self.arq.nodes:
             if self.arq.pd(node.idx) > self.spec.m:
                 continue
-            if ids is not None:
-                outside = node.idx not in ids
-            else:
-                outside = not any(L.is_iso_rep(node.module, s)
-                                  for s in summands)
-            if outside:
+            if not any(self._same(node.module, s) for s in summands):
                 pool.append(node.module)
         need = n_rank - len(summands)
         if need < 0:

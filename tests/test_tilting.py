@@ -304,40 +304,54 @@ def _counted(owner, names, patch=setattr):
     return counts
 
 
+def _route_counts(make_ctx, cand, asked, work):
+    """The public verdict and verdict of cand, each on a fresh context from
+    make_ctx, with the counts of asked and work during each."""
+    out = []
+    for run in (_public_verdict,
+                lambda ctx, c: ctx.verdict(c, want_complement=True)):
+        asked.clear()
+        work.clear()
+        out.append((run(make_ctx(), cand), dict(asked), dict(work)))
+    return out
+
+
 def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
-                                                    mods, monkeypatch):
+                                                    kronecker, mods,
+                                                    monkeypatch):
     # the verdict equals the one the public methods give, with fewer Ext
     # and isomorphism questions on every exceptional candidate of a
     # complement search; a candidate with a repeated summand stays basic.
-    # The context answers a repeated question about AR nodes from its own
-    # memo, so the questions are counted where it is asked them
-    # (_vanishes, _node_id), each route on a fresh context; the layered
-    # Ext and isomorphism work is no more than the public route's.
-    asked = _counted(TiltingContext, ("_vanishes", "_node_id"),
+    # Each route runs on a fresh context.  A context with an AR quiver
+    # keeps the node of each module it meets, so on the node route the
+    # isomorphism questions are counted where the context asks them
+    # (_node_id); on the module route (Kronecker) the layered ones are.
+    asked = _counted(TiltingContext, ("ext_vanishes", "_node_id"),
                      monkeypatch.setattr)
     work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
     pis = [M for M in mods.values() if L.is_proj_inj(M)]
     rest = [M for M in mods.values() if not L.is_proj_inj(M)]
     compared = 0
     for a, b in combinations(rest, 2):
-        cand = pis + [a, b, a]
-        asked.clear()
-        work.clear()
-        want = _public_verdict(TiltingContext(spec_a2_m1, arq=arq_a2_m1),
-                               cand)
-        public_asked, public_work = dict(asked), dict(work)
-        asked.clear()
-        work.clear()
-        got = TiltingContext(spec_a2_m1, arq=arq_a2_m1).verdict(
-            cand, want_complement=True)
+        (want, public_asked, public_work), (got, got_asked, got_work) = \
+            _route_counts(lambda: TiltingContext(spec_a2_m1, arq=arq_a2_m1),
+                          pis + [a, b, a], asked, work)
         assert got == want
         if "complement" in got:
-            assert asked["_vanishes"] < public_asked["_vanishes"]
-            assert asked["_node_id"] < public_asked["_node_id"]
-            assert work["ext_dim"] <= public_work["ext_dim"]
-            assert work["is_iso_rep"] <= public_work["is_iso_rep"]
+            assert got_asked["ext_vanishes"] < public_asked["ext_vanishes"]
+            assert got_asked["_node_id"] < public_asked["_node_id"]
+            assert got_work["ext_dim"] < public_work["ext_dim"]
             compared += 1
     assert compared >= 5
+
+    kspec = ReplicationSpec(kronecker, 1)
+    for cand in sample_faithful_exceptional(TiltingContext(kspec), 6, 4):
+        (want, _, public_work), (got, got_asked, got_work) = _route_counts(
+            lambda: TiltingContext(kspec), cand + cand[-1:], asked, work)
+        assert got == want and got["complement_verified"]
+        assert "_node_id" not in got_asked
+        assert got_work["ext_dim"] < public_work["ext_dim"]
+        assert got_work["is_iso_rep"] < public_work["is_iso_rep"]
 
 
 # -- the compatible-set enumerator ---------------------------------------------
