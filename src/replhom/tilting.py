@@ -4,7 +4,9 @@ Exceptionality is self-Ext vanishing up to the global dimension horizon
 2m+1; faithfulness is decided twice (annihilator rank, and presence of every
 projective-injective summand) and the two verdicts must agree.  The
 annihilator rank is that of the stacked row bases of the summands' systems,
-each an integer basis cached on its module.  Minimal left approximations
+each an integer basis cached on its module; the projective-injectives' rows
+are reduced once per context, and a candidate holding all of them adds its
+other summands' rows to a copy of that span.  Minimal left approximations
 drive the coresolution chain of the regular module, which yields both the
 tilting test and the complement construction.  A summand of the regular
 module that lies in add T approximates to itself, so the tilting test
@@ -23,10 +25,16 @@ node route the coresolution is taken node by node.  The minimal left
 approximation of an indecomposable X into add T depends only on X and on
 the summands T_j with Hom(X, T_j) != 0, so one step is computed, verified
 and memoized per (node, that Hom-support): stalled, or the AR nodes of its
-cokernel.  As approximations are additive, the chain of the projectives
-outside add T completes exactly when every one of them reaches zero within
-2m+1 steps.  The module route builds the chain out of cokernel modules;
-the tests use it as the oracle of the node route.
+cokernel.  A step builds no module.  Its approximation f: X -> T0 is mono
+when the stacked component blocks have rank dim X at every (layer, vertex),
+and the multiplicity of a node Y in C = coker f is read by Auslander's
+formula dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), E the middle
+term of the AR sequence ending in Y (rad Y, with no tau term, for a
+projective Y), from the ranks of Hom(T0, N) -> Hom(X, N) (Auslander-
+Reiten-Smalo IV.4).  As approximations are additive, the chain of the
+projectives outside add T completes exactly when every one of them reaches
+zero within 2m+1 steps.  The module route builds the chain out of cokernel
+modules; the tests use it as the oracle of the node route.
 
 An approximation picks its representatives of Hom(M, T_j) modulo radical
 maps against one echelon form per target T_j, and is then checked exactly:
@@ -102,6 +110,9 @@ class TiltingContext:
         # approximation steps per (node, Hom-support in T)
         self._node_of = {}
         self._steps = {}
+        # the echelon span of the projective-injectives' annihilator rows,
+        # reduced on first use (_annihilator_is_zero)
+        self._pi_span = None
         self._site_nodes = {} if arq is None else {
             node.proj_site: node.idx for node in arq.nodes
             if node.is_projective}
@@ -255,14 +266,38 @@ class TiltingContext:
         return by_annihilator
 
     def _annihilator_is_zero(self, summands) -> bool:
-        """is_faithful without the cross-check, for non-exceptional input."""
-        # the system of the direct sum stacks the summands' systems, so its
-        # rank is that of their stacked row bases
-        span = Echelon(self.algebra_dim())
+        """is_faithful without the cross-check, for non-exceptional input.
+
+        The system of the direct sum stacks the summands' systems, so its
+        rank is that of their stacked row bases.  The span of the
+        projective-injectives' rows is reduced once per context, on first
+        use; when each of them is a summand, the other summands' rows are
+        added to a copy of it.  Rows stop being added at full rank."""
+        n = self.algebra_dim()
+        hit, others = set(), []
         for M in summands:
+            k = next((k for k, P in enumerate(self.proj_inj)
+                      if self._same(M, P)), None)
+            if k is None:
+                others.append(M)
+            else:
+                hit.add(k)
+        if len(hit) < len(self.proj_inj):
+            others, span = summands, Echelon(n)
+        else:
+            if self._pi_span is None:
+                self._pi_span = Echelon(n)
+                for P in self.proj_inj:
+                    for row in self._annihilator_rows(P):
+                        self._pi_span.add(row)
+            span = Echelon(n)
+            span.pivots = dict(self._pi_span.pivots)
+        for M in others:
             for row in self._annihilator_rows(M):
+                if span.rank == n:
+                    break
                 span.add(row)
-        return span.rank == self.algebra_dim()
+        return span.rank == n
 
     def sites_outside(self, summands):
         """The sites (x, i), in proj_sites order, whose projective P(x, i)
@@ -444,31 +479,99 @@ class TiltingContext:
         memoized: None when the approximation is not mono, else the sorted
         node indices of its cokernel's summands (empty when it is zero).
 
-        The minimal left approximation into add T needs only the T_j with
-        Hom(node, T_j) != 0, so support (those T_j) fixes it; it is built
-        and verified by minimal_left_approximation once per key."""
+        The minimal left approximation f: X -> T0 into add T needs only the
+        T_j with Hom(X, T_j) != 0, so support (those T_j) fixes it; its
+        components are chosen and verified once per key, as in
+        minimal_left_approximation, but no module is built: f is mono when
+        its stacked component blocks have rank dim X at every (layer,
+        vertex), and its cokernel is read off Hom ranks (_cokernel_nodes).
+        """
         key = idx, support
         if key in self._steps:
             return self._steps[key]
         nodes = self.arq.nodes
-        _, f = self.minimal_left_approximation(
-            nodes[idx].module, [nodes[j].module for j in sorted(support)])
+        X = nodes[idx].module
+        targets = sorted(support)
+        summands = [nodes[j].module for j in targets]
+        homs = [L.hom_basis_rep(X, T) for T in summands]
+        composites = {}
+        reps = self._approximation_reps(summands, homs, composites)
         out = None
-        if f.is_mono():
-            coker, _ = L.cokernel_rep(f)
-            out = () if coker.is_zero() else tuple(sorted(
-                {self._cokernel_node(s, idx) for s in L.decompose_rep(coker)}))
+        if reps:
+            self._assert_approximation(summands, homs, reps, composites)
+            if _stacked_mono(X, [g for _, g in reps]):
+                out = self._cokernel_nodes(
+                    idx, [(targets[j], g) for j, g in reps], composites)
         self._steps[key] = out
         return out
 
-    def _cokernel_node(self, X, idx) -> int:
-        node = self.arq._lookup(X)
-        if node is None:
+    def _cokernel_nodes(self, idx, used, composites):
+        """The sorted AR nodes of the cokernel C of a mono step f at node
+        idx, f having components g_k: X -> T_k into the nodes t_k of used =
+        [(t_k, g_k)].
+
+        Hom(C, N) is the kernel of Hom(T0, N) -> Hom(X, N), h -> h f, so
+        dim Hom(C, N) is sum_k dim Hom(T_k, N) less the rank of the vectors
+        of the h g_k.  By Auslander's formula the multiplicity of Y in C is
+        dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), with E the sum of
+        the in-arrows of Y (the middle term of the AR sequence ending in Y,
+        or rad Y when Y is projective, which has no tau term).  A summand Y
+        of C is a quotient of T0, so some t_k <= Y in path order, and dim Y
+        <= dim C: only those Y are tested.  The multiplicities must be >= 0
+        and add up to dim C, else ClosureIncomplete names the step."""
+        arq = self.arq
+        nodes = arq.nodes
+        starts = {t for t, _ in used}
+        left = [-x for x in nodes[idx].module.dim_vector()]
+        for t, _ in used:
+            left = [a + b for a, b in zip(left, nodes[t].module.dim_vector())]
+        hom_dims = {}
+
+        def hom(n):
+            """dim Hom(C, node n)."""
+            d = hom_dims.get(n)
+            if d is None:
+                N = nodes[n].module
+                span, total = None, 0
+                for t, g in used:
+                    if not arq.leq(t, n):
+                        continue    # Hom(T_k, N) = 0 off the path order
+                    for h in L.hom_basis_rep(nodes[t].module, N):
+                        vec = composites.get((h, g))
+                        if vec is None:
+                            vec = _composite_vector(h, g)
+                        if span is None:
+                            span = Echelon(len(vec))
+                        span.add(vec)
+                        total += 1
+                d = hom_dims[n] = total - (span.rank if span else 0)
+            return d
+
+        mults = {}
+        for node in nodes:
+            y = node.idx
+            dims = node.module.dim_vector()
+            if any(a > b for a, b in zip(dims, left)) or not any(
+                    arq.leq(t, y) for t in starts):
+                continue
+            mult = hom(y) - sum(mu * hom(e) for e, mu in arq.in_arrows[y])
+            if not node.is_projective:
+                mult += hom(node.tau)
+            if mult:
+                mults[y] = mult
+        rest = list(left)
+        for y, mult in mults.items():
+            rest = [a - mult * b for a, b in
+                    zip(rest, nodes[y].module.dim_vector())]
+        if any(rest) or any(mult < 0 for mult in mults.values()):
+            found = ", ".join(f"n{y}: {mult}"
+                              for y, mult in sorted(mults.items()))
             raise ClosureIncomplete(
-                f"cokernel summand with dimension vector "
-                f"{_dims(self.spec, X)} of the approximation step at "
-                f"n{idx} is no AR node", witness=X)
-        return node.idx
+                f"the cokernel of the approximation step at n{idx} is no "
+                f"sum of AR nodes: multiplicities {{{found}}} leave "
+                f"dimension vector {_dims(self.spec, rest)}",
+                witness=nodes[idx].module)
+        return tuple(sorted(mults))
 
     # -- tilting -------------------------------------------------------------------
 
@@ -626,18 +729,19 @@ class TiltingContext:
                 and out["pd"] <= self.spec.m:
             try:
                 comp = self.bongartz_complement(summands)
-                out["complement"] = [{"dims": _dims(self.spec, X)}
-                                      for X in comp]
+                out["complement"] = [
+                    {"dims": _dims(self.spec, X.dim_vector())} for X in comp]
                 out["complement_verified"] = True
             except NoComplementFound as exc:
                 out["complement_error"] = str(exc)
         return out
 
 
-def _dims(spec, X):
-    """X's nonzero dimensions keyed "<vertex>_<layer>"."""
-    return {f"{v}_{l}": X.layers[l].dim[v] for l in range(spec.m + 1)
-            for v in spec.base.vertices if X.layers[l].dim[v]}
+def _dims(spec, dims):
+    """The nonzero entries of a flat dimension vector (layer by layer, base
+    vertex order within a layer, as dim_vector) keyed "<vertex>_<layer>"."""
+    keys = [f"{v}_{l}" for l in range(spec.m + 1) for v in spec.base.vertices]
+    return {k: d for k, d in zip(keys, dims) if d}
 
 
 def _vectorize(f: L.LModMorphism):
@@ -661,6 +765,24 @@ def _composite_vector(h: L.LModMorphism, g: L.LModMorphism):
             for row in (hp.mats[v] * gp.mats[v]).data:
                 out.extend(row)
     return out
+
+
+def _stacked_mono(M, gs):
+    """Whether the morphism out of M with components gs[k]: M -> T_k is
+    mono: at every (layer, vertex) the stacked blocks of the gs have rank
+    dim M there (_stack(M, D, gs).is_mono(), with no D built)."""
+    for l, layer in enumerate(M.layers):
+        for v in M.quiver.vertices:
+            d = layer.dim[v]
+            if not d:
+                continue
+            span = Echelon(d)
+            for g in gs:
+                for row in g.parts[l].mats[v].data:
+                    span.add(row)
+            if span.rank < d:
+                return False
+    return True
 
 
 def _stack(M, D, gs):

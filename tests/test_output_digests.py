@@ -50,12 +50,14 @@ def test_ar_quiver_e7_m1_digest(tmp_path, capsys):
     assert hashlib.sha256(blob).hexdigest() == E7_AR_QUIVER_SHA256
 
 
-# E6 m = 1 verify peaked at 55 MB of RSS once the tilting chain ran node by
-# node and an AR-node lookup stopped caching the module it looks up on the
-# node; at 178-189 MB before, and at 235 MB before the row-basis
-# faithfulness test and the chain from the projectives outside add T
-# (Linux x86-64, CPython 3.11); the bound leaves 15% room
-E6_VERIFY_PEAK_MB = 64
+# E6 m = 1 verify peaked at 45 MB of RSS once each node step read its
+# cokernel by Auslander's multiplicity formula instead of building it; at
+# 55 MB while the steps built their cokernels, at 178-189 MB before the
+# chain ran node by node and an AR-node lookup stopped caching the module
+# it looks up on the node, and at 235 MB before the row-basis faithfulness
+# test and the chain from the projectives outside add T (Linux x86-64,
+# CPython 3.11); the bound leaves 20% room
+E6_VERIFY_PEAK_MB = 54
 
 # runs argv[2:], its stdout to the file argv[1], and prints the exit code
 # and the children's peak RSS (KiB)

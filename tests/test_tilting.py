@@ -420,42 +420,69 @@ def _reduced_chain_cases(q, m, stride=1):
     """For every compatible set T of AR nodes up to rank (every stride-th
     in enumeration order), is_tilting(T) must equal the verdict of the
     chain of the full regular module, built by the module route.  Each
-    is_tilting must take the node route and run one minimal approximation
-    per new memo key.  Returns how often the reduced chain started from a
-    projective-injective, from layer-0 projectives alone, or from nothing,
-    and how many T were tilting."""
+    is_tilting must take the node route, choose one approximation per new
+    memo key, and build no module: no cokernel, decomposition or direct
+    sum.  Every memoized step must then equal the one the module route
+    gives (_module_step).  Returns how often the reduced chain started from
+    a projective-injective, from layer-0 projectives alone, or from
+    nothing, and how many T were tilting."""
     spec = ReplicationSpec(q, m)
     arq = ARQuiver(spec)
     tctx = TiltingContext(spec, arq=arq)
     mods = [node.module for node in arq.nodes]
     rank = q.n * (m + 1)
     seen = Counter()
-    calls = _counted(tctx, ("approximation_chain",
-                             "minimal_left_approximation"))
+    calls = _counted(tctx, ("approximation_chain", "_approximation_reps"))
     sets = compatible_sets(
         len(mods), lambda a, b: tctx.compatible(mods[a], mods[b]), rank)
-    for idxs in islice(sets, 0, None, stride):
-        T = tctx.basic([mods[i] for i in idxs])
-        assert tctx.node_ids(T) == list(idxs)
-        assert tctx.is_exceptional(T)
-        full = tctx.approximation_chain(T)
-        assert full.start is tctx.regular.module
-        before, keys = Counter(calls), len(tctx._steps)
-        tilting = tctx.is_tilting(T)
-        assert calls["approximation_chain"] == before["approximation_chain"]
-        assert (calls["minimal_left_approximation"]
-                - before["minimal_left_approximation"]
-                == len(tctx._steps) - keys)
-        assert tilting == full.completed, idxs
-        rest = tctx.sites_outside(T)
-        if not rest:
-            seen["empty start"] += 1
-        elif any(i for _, i in rest):
-            seen["projective-injective in start"] += 1
-        else:
-            seen["layer-0 start"] += 1
-        seen["tilting"] += tilting
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counted(L, ("cokernel_rep", "decompose_rep",
+                             "layered_direct_sum"), mp.setattr)
+        for idxs in islice(sets, 0, None, stride):
+            T = tctx.basic([mods[i] for i in idxs])
+            assert tctx.node_ids(T) == list(idxs)
+            assert tctx.is_exceptional(T)
+            full = tctx.approximation_chain(T)
+            assert full.start is tctx.regular.module
+            before, keys = Counter(calls), len(tctx._steps)
+            built_before = Counter(built)
+            tilting = tctx.is_tilting(T)
+            assert calls["approximation_chain"] == \
+                before["approximation_chain"]
+            assert (calls["_approximation_reps"]
+                    - before["_approximation_reps"]
+                    == len(tctx._steps) - keys)
+            assert built == built_before
+            assert tilting == full.completed, idxs
+            rest = tctx.sites_outside(T)
+            if not rest:
+                seen["empty start"] += 1
+            elif any(i for _, i in rest):
+                seen["projective-injective in start"] += 1
+            else:
+                seen["layer-0 start"] += 1
+            seen["tilting"] += tilting
+    for (idx, support), nodes in tctx._steps.items():
+        assert nodes == _module_step(tctx, idx, support), (idx, support)
+        seen["steps"] += 1
+        seen["stalled steps"] += nodes is None
     return seen
+
+
+def _module_step(tctx, idx, support):
+    """The approximation step of node idx into add of the nodes support,
+    built by the module route: None when minimal_left_approximation is not
+    mono, else the sorted nodes of the summands of its cokernel module."""
+    nodes = tctx.arq.nodes
+    _, f = tctx.minimal_left_approximation(
+        nodes[idx].module, [nodes[j].module for j in sorted(support)])
+    if not f.is_mono():
+        return None
+    coker, _ = L.cokernel_rep(f)
+    if coker.is_zero():
+        return ()
+    return tuple(sorted({tctx.arq.find_node(X).idx
+                         for X in L.decompose_rep(coker)}))
 
 
 @pytest.mark.parametrize("base,m", [("a2", 1), ("a3", 1)])
@@ -468,36 +495,44 @@ def test_reduced_chain_agrees_with_the_full_chain(base, m, request):
 
 
 def test_reduced_chain_agrees_on_a3_m2_sample(a3):
-    """Every 50th of the 23,039 compatible sets of A3 with m = 2."""
+    """Every 50th of the 23,039 compatible sets of A3 with m = 2, and every
+    approximation step they meet."""
     seen = _reduced_chain_cases(a3, 2, stride=50)
     assert seen["projective-injective in start"] > 0
+    assert seen["steps"] > seen["stalled steps"] > 0
     assert seen["layer-0 start"] > 0
     assert seen["tilting"] > 0
 
 
 @pytest.mark.slow
 def test_reduced_chain_agrees_with_the_full_chain_a3_m2(a3):
-    """All 23,039 compatible sets of A3 with m = 2."""
+    """All 23,039 compatible sets of A3 with m = 2, and every approximation
+    step they meet."""
     seen = _reduced_chain_cases(a3, 2)
     assert seen["empty start"] == 1
+    assert seen["steps"] > seen["stalled steps"] > 0
     assert seen["projective-injective in start"] > 0
     assert seen["layer-0 start"] > 0
     assert seen["tilting"] == 200
 
 
 def test_reduced_chain_agrees_on_d4_m1_sample(d4):
-    """Every 40th of the 24,175 compatible sets of D4 with m = 1."""
+    """Every 40th of the 24,175 compatible sets of D4 with m = 1, and every
+    approximation step they meet."""
     seen = _reduced_chain_cases(d4, 1, stride=40)
     assert seen["projective-injective in start"] > 0
+    assert seen["steps"] > seen["stalled steps"] > 0
     assert seen["layer-0 start"] > 0
     assert seen["tilting"] > 0
 
 
 @pytest.mark.slow
 def test_reduced_chain_agrees_with_the_full_chain_d4_m1(d4):
-    """All 24,175 compatible sets of D4 with m = 1."""
+    """All 24,175 compatible sets of D4 with m = 1, and every approximation
+    step they meet."""
     seen = _reduced_chain_cases(d4, 1)
     assert seen["empty start"] == 1
+    assert seen["steps"] > seen["stalled steps"] > 0
     assert seen["projective-injective in start"] > 0
     assert seen["layer-0 start"] > 0
     assert seen["tilting"] == 336
@@ -610,26 +645,29 @@ def test_module_route_serves_kronecker_and_non_node_summands(
 
 
 def test_cokernel_summand_without_a_node_names_its_step(
-        spec_a2_m1, arq_a2_m1, mods, monkeypatch):
-    """A cokernel summand the AR quiver does not hold stops the node route
-    with its dimension vector and the node whose step produced it."""
+        spec_a2_m1, arq_a2_m1, nodes_a2_m1, mods, monkeypatch):
+    """Mesh data that misses an arrow stops the node route: the cokernel's
+    multiplicities, read by Auslander's formula, no longer add up to its
+    dimension vector, and the error names the node whose step it was and
+    the dimension vector left over."""
     tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
     T = _counting_criterion_case(mods)
-    ids = tctx.node_ids(T)
-    real = arq_a2_m1._lookup
-    known = {id(M) for M in T}
-    monkeypatch.setattr(arq_a2_m1, "_lookup",
-                        lambda M: real(M) if id(M) in known else None)
+    assert tctx.is_tilting(T)
+    # the chain starts from P(a, 0), whose cokernel is the node a1/b0; with
+    # the arrow a1/b0 -> a1 gone, a1 seems to be a summand of it as well
+    y = nodes_a2_m1["a1"].idx
+    assert arq_a2_m1.in_arrows[y] == [(nodes_a2_m1["a1/b0"].idx, 1)]
+    monkeypatch.setitem(arq_a2_m1.in_arrows, y, [])
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
     with pytest.raises(ClosureIncomplete) as exc:
         tctx.is_tilting(T)
-    X = exc.value.witness
     assert not tctx._steps          # the failing step is not memoized
-    # the chain starts from P(a, 0), whose cokernel is the node a1/b0
-    assert real(X) is arq_a2_m1.nodes[ids[2]]
     start = tctx._site_nodes[("a", 0)]
-    assert (f"cokernel summand with dimension vector {{'b_0': 1, 'a_1': 1}} "
-            f"of the approximation step at n{start} is no AR node"
-            == str(exc.value))
+    assert exc.value.witness is arq_a2_m1.nodes[start].module
+    assert (f"the cokernel of the approximation step at n{start} is no sum "
+            f"of AR nodes: multiplicities {{n{y}: 1, "
+            f"n{nodes_a2_m1['a1/b0'].idx}: 1}} leave dimension vector "
+            f"{{'a_1': -1}}" == str(exc.value))
 
 
 # -- faithfulness from cached row bases --------------------------------------------
@@ -735,3 +773,44 @@ def test_faithful_matches_the_stacked_rank_kronecker(kctx):
         # without a projective-injective summand neither route is faithful
         assert not kctx.is_faithful(cand[1:])
         assert not _stacked_rank_faithful(kctx, cand[1:])
+
+
+@pytest.mark.parametrize("base,m,seed", [("a3", 2, 13), ("d4", 1, 14)])
+def test_annihilator_span_matches_the_stacked_rank(base, m, seed, request):
+    """The annihilator test reuses the projective-injectives' span, reduced
+    on the first candidate that holds all of them: it gives the plain
+    stacked rank on candidates holding every projective-injective (as the
+    context's modules or as copies) and on candidates missing one."""
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    pis = list(tctx.proj_inj)
+    copies = [L.LayeredModule.from_dict(spec, P.to_dict()) for P in pis]
+    others = [node.module for node in arq.nodes if not node.is_proj_inj]
+    rng = random.Random(seed)
+    seen = Counter()
+    for k in range(12):
+        extra = rng.sample(others, rng.randint(0, 3))
+        missing = pis[:k % len(pis)] + pis[k % len(pis) + 1:] + extra
+        holding = rng.sample((pis, copies)[k % 2] + extra,
+                             len(pis) + len(extra))
+        for cand, holds in ((missing, False), (holding, True)):
+            if not seen:
+                assert tctx._pi_span is None
+            got = tctx._annihilator_is_zero(cand)
+            assert got == _stacked_rank_faithful(tctx, cand)
+            seen[holds, got] += 1
+    assert tctx._pi_span is not None
+    assert seen[True, True] == 12 and seen[False, False]
+
+
+def test_annihilator_span_matches_the_stacked_rank_kronecker(kronecker):
+    tctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    samples = sample_faithful_exceptional(tctx, 6, 8)
+    assert tctx._pi_span is None
+    for cand in samples:
+        assert tctx._annihilator_is_zero(cand)
+        assert _stacked_rank_faithful(tctx, cand)
+        assert tctx._pi_span is not None
+        assert not tctx._annihilator_is_zero(cand[1:])
+        assert not _stacked_rank_faithful(tctx, cand[1:])
