@@ -5,9 +5,11 @@ translate from the projectives, where every tau-orbit starts.  Arrows are
 knitted mesh by mesh: arrows into a projective come from the radical
 decomposition, arrows into a non-projective Y are transported from the
 arrows out of tau(Y); dimension additivity of every mesh is asserted.  On
-top of the quiver sit the path order, the cosyzygy slices, projective
-dimension with its position/witness cross-checks, and the left part that
-serves as the cluster fundamental domain.
+top of the quiver sit the path order, one memoized cosyzygy per node, and
+on node ids read from it: the cosyzygy slices, projective dimension with
+its position/witness cross-checks, the left part that serves as the
+cluster fundamental domain, and the commutation and syzygy-duality
+suites.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import layered as L
 from .errors import (ClosureIncomplete, NotInDomain, NotSupported,
@@ -44,6 +47,12 @@ class Node:
         return self.is_projective and self.is_injective
 
 
+class Cosyzygy(NamedTuple):
+    node: int | None            # node id of the cosyzygy, None if no node
+    zero_or_injective: bool
+    pi_envelope: bool           # the envelope has no member at layer m
+
+
 _MAX_ORBIT = 4096
 
 
@@ -59,7 +68,7 @@ class ARQuiver:
         self.in_arrows = {}
         self.out_arrows = {}
         self._pd = {}
-        self._witness = {}
+        self._cosyz = {}
         self._node_labels = {}
         self._slices = {}
         self._labels = None
@@ -263,19 +272,38 @@ class ARQuiver:
             return False
         return True
 
-    # -- slices and projective dimension ----------------------------------------
+    # -- cosyzygies, slices and projective dimension ----------------------------
+
+    def _cosyzygy(self, i) -> Cosyzygy:
+        """The cosyzygy of node i, from one envelope and one cokernel."""
+        if i not in self._cosyz:
+            I, mono = L.injective_envelope_rep(self.nodes[i].module)
+            C, _ = L.cokernel_rep(mono)
+            node = self._lookup(C)      # None when C is zero or no node
+            self._cosyz[i] = Cosyzygy(
+                node.idx if node else None,
+                node.is_injective if node else L.is_injective_rep(C),
+                all(l < self.spec.m for _, l in I.members))
+        return self._cosyz[i]
+
+    def _cosyzygy_node(self, i) -> int:
+        c = self._cosyzygy(i).node
+        if c is None:
+            raise ClosureIncomplete(f"cosyzygy of n{i} is no AR node",
+                                    witness=self.nodes[i].module)
+        return c
 
     def sigma_slice(self, k):
         """Sigma_k: the k-th cosyzygies of the level-0 projectives."""
         if not 0 <= k <= self.spec.m:
             raise ValueError(f"slice index {k} outside 0..m")
         if k not in self._slices:
-            members = []
-            for x in self.spec.base.vertices:
-                M = L.projective_rep(self.spec, x, 0)
-                for _ in range(k):
-                    M = L.cosyzygy(M)
-                members.append(self.find_node(M).idx)
+            if k == 0:
+                members = [n.idx for x in self.spec.base.vertices
+                           for n in self.nodes if n.proj_site == (x, 0)]
+            else:
+                members = [self._cosyzygy_node(i)
+                           for i in self.sigma_slice(k - 1)]
             if len(set(members)) != self.spec.base.n:
                 raise TheoremViolation("slice members are not distinct")
             self._slices[k] = members
@@ -316,10 +344,9 @@ class ARQuiver:
         if self._labels is None:
             labels = {}
             m = self.spec.m
-            for pos, nidx in enumerate(self.ind_a_nodes()):
-                M = self.nodes[nidx].module
+            for pos, idx in enumerate(self.ind_a_nodes()):
                 for k in range(1, m + 1):
-                    node = self.find_node(M)
+                    node = self.nodes[idx]
                     if node.is_proj_inj:
                         raise TheoremViolation(
                             "fundamental domain hit a projective-injective",
@@ -328,18 +355,15 @@ class ARQuiver:
                         raise TheoremViolation(
                             "fundamental domain labels collide",
                             witness=node.module)
-                    labels[node.idx] = ("mod", pos, k - 1)
+                    labels[idx] = ("mod", pos, k - 1)
                     if k < m:
-                        M = L.cosyzygy(M)
-            for x in self.spec.base.vertices:
-                M = L.projective_rep(self.spec, x, 0)
-                for _ in range(m):
-                    M = L.cosyzygy(M)
-                node = self.find_node(M)
-                if node.is_proj_inj or node.idx in labels:
+                        idx = self._cosyzygy_node(idx)
+            for x, idx in zip(self.spec.base.vertices, self.sigma_slice(m)):
+                node = self.nodes[idx]
+                if node.is_proj_inj or idx in labels:
                     raise TheoremViolation("last-slice labels collide",
                                            witness=node.module)
-                labels[node.idx] = ("shift", x, m)
+                labels[idx] = ("shift", x, m)
             self._labels = labels
         return self._labels
 
@@ -354,28 +378,16 @@ class ARQuiver:
                 raise TheoremViolation(
                     f"slice position {pos} disagrees with pd {k}",
                     witness=n.module)
-            if n.idx not in self._witness_set(k):
+            # tau^{-1} of the (k-1)-st cosyzygies of ind A
+            witnesses = {self.nodes[j].tau_inv for j, lab
+                         in self.fundamental_domain_labels().items()
+                         if lab[0] == "mod" and lab[2] == k - 1
+                         and not self.nodes[j].is_injective}
+            if n.idx not in witnesses:
                 raise TheoremViolation(
                     f"no translate-of-cosyzygy witness for pd {k}",
                     witness=n.module)
         return k
-
-    def _witness_set(self, k):
-        """Nodes of the form tau^{-1} of the (k-1)-st cosyzygy of ind A."""
-        if k not in self._witness:
-            out = set()
-            for nidx in self.ind_a_nodes():
-                M = self.nodes[nidx].module
-                for _ in range(k - 1):
-                    M = L.cosyzygy(M)
-                    if M.is_zero():
-                        break
-                else:
-                    node = self.find_node(M)
-                    if not node.is_injective:
-                        out.add(node.tau_inv)
-            self._witness[k] = out
-        return self._witness[k]
 
     def check_trichotomy(self):
         """pd = slice position = witness membership for 1 <= pd <= m;
@@ -440,21 +452,14 @@ class ARQuiver:
 
     def check_commutation(self):
         """Cosyzygy and inverse translate commute wherever both composites
-        are defined and nonzero."""
+        are defined and nonzero: on node ids, the cosyzygy of tau^{-1} n is
+        the build's tau^{-1} of the cosyzygy of n."""
         for node in self.nodes:
-            if node.is_injective:
+            if node.is_injective or self.nodes[node.tau_inv].is_injective \
+                    or self._cosyzygy(node.idx).zero_or_injective:
                 continue
-            t = L.tau_inv_rep(node.module)
-            ct = L.cosyzygy(t)
-            c = L.cosyzygy(node.module)
-            if c.is_zero() or ct.is_zero():
-                continue
-            if L.is_injective_rep(c):
-                continue
-            tc = L.tau_inv_rep(c)
-            if tc.is_zero():
-                continue
-            if not L.is_iso_rep(ct, tc):
+            c = self._cosyzygy_node(node.idx)
+            if self._cosyzygy_node(node.tau_inv) != self.nodes[c].tau_inv:
                 raise TheoremViolation(
                     "cosyzygy and inverse translate do not commute",
                     witness=node.module)
@@ -462,34 +467,24 @@ class ARQuiver:
 
     def check_syzygy_duality(self):
         """Along chains of projective-injective envelopes, the j-th cosyzygy
-        of the start matches the (k+1-j)-th syzygy of the end."""
-        m = self.spec.m
+        of the start matches the (k+1-j)-th syzygy of the end.
+
+        Checked one step at a time: for every non-injective node n whose
+        envelope is projective-injective, the syzygy of its cosyzygy is n.
+        Every member of such a chain is a node (else ClosureIncomplete), so
+        each of its steps is checked; by induction along the chain the steps
+        give the statement for every j, and conversely the statements for j
+        and j + 1 give the step from the j-th member."""
         for node in self.nodes:
-            chain = [node.module]
-            for _ in range(m + 1):
-                cur = chain[-1]
-                if cur.is_zero():
-                    break
-                I, _ = L.injective_envelope_rep(cur)
-                if any(i == m for _, i in I.members):
-                    break   # envelope not projective-injective
-                nxt = L.cosyzygy(cur)
-                if nxt.is_zero():
-                    break
-                chain.append(nxt)
-            k_plus_1 = len(chain) - 1
-            if k_plus_1 < 1:
+            if node.is_injective or not self._cosyzygy(node.idx).pi_envelope:
                 continue
-            N = chain[-1]
-            back = [N]
-            for _ in range(k_plus_1):
-                back.append(L.syzygy(back[-1]))
-            for j in range(k_plus_1 + 1):
-                if not L.is_iso_rep(chain[j], back[k_plus_1 - j]):
-                    raise TheoremViolation(
-                        "syzygy-cosyzygy duality failed along a "
-                        "projective-injective coresolution",
-                        witness=node.module)
+            C = self.nodes[self._cosyzygy_node(node.idx)].module
+            back = self._lookup(L.syzygy(C))
+            if back is None or back.idx != node.idx:
+                raise TheoremViolation(
+                    "syzygy-cosyzygy duality failed along a "
+                    "projective-injective coresolution",
+                    witness=node.module)
         return True
 
     def check_global_dimension(self):

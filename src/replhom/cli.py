@@ -236,7 +236,6 @@ def _run_fault_injection(spec) -> int:
     if victim is None:
         raise TheoremViolation("no node suitable for corruption")
     victim.tau_inv = victim.idx
-    arq._witness.clear()
     arq.check_trichotomy()
     print(json.dumps({"fault_injection": "not detected"}))
     return EXIT_OK

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
+from knitting import knit
 from replhom.arquiver import ARQuiver
-from replhom.errors import NotInDomain, TheoremViolation
-from replhom.quiver import ReplicationSpec
+from replhom.errors import ClosureIncomplete, NotInDomain, TheoremViolation
+from replhom.quiver import Quiver, ReplicationSpec
 from replhom import layered as L
 
 
@@ -193,13 +196,201 @@ def test_node_table_fields(arq_a2_m1):
     assert simple_a1["cluster_label"]["kind"] == "shifted_projective"
 
 
+def _tau_victim(arq):
+    return next(n for n in arq.nodes
+                if not n.is_injective and n.tau_inv is not None
+                and not arq.nodes[n.tau_inv].is_proj_inj
+                and 1 <= arq.pd(n.tau_inv) <= 1)
+
+
 def test_corrupted_tau_detected(spec_a2_m1):
     arq = ARQuiver(spec_a2_m1)
-    victim = next(n for n in arq.nodes
-                  if not n.is_injective and n.tau_inv is not None
-                  and not arq.nodes[n.tau_inv].is_proj_inj
-                  and 1 <= arq.pd(n.tau_inv) <= 1)
+    victim = _tau_victim(arq)
     victim.tau_inv = victim.idx
-    arq._witness.clear()
     with pytest.raises(TheoremViolation):
         arq.check_trichotomy()
+
+
+# -- the module-level computations the node suites replaced, as an oracle -----
+
+def _module_cosyzygy(arq, M):
+    """The node of L.cosyzygy(M), None if it is zero or no node, and the
+    cosyzygy module itself."""
+    C = L.cosyzygy(M)
+    if C.is_zero():
+        return None, C
+    try:
+        return arq.find_node(C).idx, C
+    except ClosureIncomplete:
+        return None, C
+
+
+def _module_commutation(arq):
+    """check_commutation on modules: the nodes it compares, each of whose
+    composites must be an AR node."""
+    compared = set()
+    for node in arq.nodes:
+        if node.is_injective:
+            continue
+        ct = L.cosyzygy(L.tau_inv_rep(node.module))
+        c = L.cosyzygy(node.module)
+        if c.is_zero() or ct.is_zero() or L.is_injective_rep(c):
+            continue
+        tc = L.tau_inv_rep(c)
+        assert not tc.is_zero()
+        assert L.is_iso_rep(ct, tc), arq.node_label(node)
+        assert arq.find_node(ct).idx == arq.find_node(tc).idx
+        compared.add(node.idx)
+    return compared
+
+
+def _module_duality(arq):
+    """check_syzygy_duality on modules: the nodes that start a chain of
+    projective-injective envelopes, each chain member and syzygy a node."""
+    m = arq.spec.m
+    starts = set()
+    for node in arq.nodes:
+        chain = [node.module]
+        for _ in range(m + 1):
+            I, _ = L.injective_envelope_rep(chain[-1])
+            if any(i == m for _, i in I.members):
+                break
+            nxt = L.cosyzygy(chain[-1])
+            if nxt.is_zero():
+                break
+            chain.append(nxt)
+        if len(chain) < 2:
+            continue
+        back = [chain[-1]]
+        for _ in range(len(chain) - 1):
+            back.append(L.syzygy(back[-1]))
+        for j, M in enumerate(chain):
+            assert L.is_iso_rep(M, back[len(chain) - 1 - j])
+            arq.find_node(M)
+        starts.add(node.idx)
+    return starts
+
+
+def _assert_node_suites_match_modules(arq):
+    m = arq.spec.m
+    for node in arq.nodes:
+        memo = arq._cosyzygy(node.idx)
+        idx, C = _module_cosyzygy(arq, node.module)
+        I, _ = L.injective_envelope_rep(node.module)
+        assert memo.node == idx
+        assert memo.zero_or_injective == L.is_injective_rep(C)
+        assert memo.pi_envelope == all(i < m for _, i in I.members)
+        if idx is None:
+            assert memo.zero_or_injective
+    compared = {n.idx for n in arq.nodes
+                if not n.is_injective
+                and not arq.nodes[n.tau_inv].is_injective
+                and not arq._cosyzygy(n.idx).zero_or_injective}
+    assert _module_commutation(arq) == compared
+    assert arq.check_commutation()
+    starts = {n.idx for n in arq.nodes
+              if not n.is_injective and arq._cosyzygy(n.idx).pi_envelope}
+    assert _module_duality(arq) == starts
+    assert arq.check_syzygy_duality()
+    for k in range(1, m + 1):
+        assert arq.sigma_slice(k) == [
+            _module_cosyzygy(arq, arq.nodes[i].module)[0]
+            for i in arq.sigma_slice(k - 1)]
+
+
+_ORACLE_FAST = [("a2", 1), ("a2", 2), ("a3", 1), ("a3", 2)]
+
+
+# the rest of criterion 07's spec set runs under `slow`
+@pytest.mark.parametrize("name,m", _ORACLE_FAST + [
+    pytest.param(name, m, marks=pytest.mark.slow)
+    for name in ("a1", "a2", "a3", "a4", "d4") for m in (1, 2, 3)
+    if (name, m) not in _ORACLE_FAST])
+def test_node_suites_match_module_suites(request, name, m):
+    _assert_node_suites_match_modules(
+        ARQuiver(ReplicationSpec(request.getfixturevalue(name), m)))
+
+
+# -- the node suites still detect faults --------------------------------------
+
+def test_corrupted_tau_breaks_commutation(spec_a2_m1):
+    arq = ARQuiver(spec_a2_m1)
+    victim = _tau_victim(arq)
+    victim.tau_inv = victim.idx
+    with pytest.raises(TheoremViolation):
+        arq.check_commutation()
+
+
+def test_corrupted_cosyzygy_breaks_duality(a3):
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    starts = [n.idx for n in arq.nodes
+              if not n.is_injective and arq._cosyzygy(n.idx).pi_envelope]
+    i, j = starts[:2]
+    arq._cosyz[i] = arq._cosyz[j]
+    with pytest.raises(TheoremViolation):
+        arq.check_syzygy_duality()
+
+
+def test_missing_cosyzygy_node_is_named(a3, monkeypatch):
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    i = arq.sigma_slice(0)[0]
+    lost = L.cosyzygy(arq.nodes[i].module).dim_vector()
+    lookup = arq._lookup
+    monkeypatch.setattr(arq, "_lookup", lambda M: None
+                        if M.dim_vector() == lost else lookup(M))
+    with pytest.raises(ClosureIncomplete, match=rf"\bn{i}\b"):
+        arq.sigma_slice(1)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(L, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(L, name, counted)
+    return calls
+
+
+def test_suites_read_the_memo(a3, monkeypatch):
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    tau_inv = _counting(monkeypatch, "tau_inv_rep")
+    envelopes = _counting(monkeypatch, "injective_envelope_rep")
+    assert arq.check_commutation()
+    assert not tau_inv
+    assert arq.check_trichotomy()
+    assert arq.check_syzygy_duality()
+    arq.m_left_part()
+    for k in range(arq.spec.m + 1):
+        arq.sigma_slice(k)
+    assert len(arq.fundamental_domain_labels()) == 2 * 6 + 3
+    assert 0 < len(envelopes) <= len(arq.nodes)
+
+
+# -- an oracle that shares no code with the build ----------------------------
+
+E6 = {"e6": Quiver(["1", "2", "3", "4", "5", "6"],
+                  [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                   ("d", "4", "5"), ("e", "6", "3")]),
+      "e6_mixed": Quiver(["1", "2", "3", "4", "5", "6"],
+                        [("a", "2", "1"), ("b", "3", "2"), ("c", "3", "4"),
+                         ("d", "5", "4"), ("e", "3", "6")])}
+
+
+@pytest.mark.parametrize("name,m", [("a1", 1), ("a1", 2), ("a2", 1),
+                                    ("a2", 2), ("a3", 1), ("a3", 2),
+                                    ("two_sinks", 2), ("a4", 1), ("d4", 1),
+                                    ("d4", 2), ("e6", 1), ("e6_mixed", 1)])
+def test_ar_quiver_matches_knitting(request, name, m):
+    q = E6[name] if name in E6 else request.getfixturevalue(name)
+    arq = ARQuiver(ReplicationSpec(q, m))
+    dims, arrows, tau = knit(q.vertices, [(s, t) for _, s, t in q.arrows], m)
+    dv = [n.module.dim_vector() for n in arq.nodes]
+    assert len(set(dv)) == len(dv) and set(dv) == dims
+    assert arrows == Counter({(dv[i], dv[t]): mult
+                              for i, outs in arq.out_arrows.items()
+                              for t, mult in outs})
+    assert tau == {dv[n.idx]: dv[n.tau] for n in arq.nodes
+                   if n.tau is not None}
