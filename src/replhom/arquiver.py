@@ -1,28 +1,27 @@
 """The Auslander-Reiten quiver of the replicated algebra (Dynkin base).
 
-Nodes are iso-classes of indecomposables, found by walking the inverse
-translate from the projectives, where every tau-orbit starts.  Arrows are
-knitted mesh by mesh: arrows into a projective come from the radical
-decomposition, arrows into a non-projective Y are transported from the
-arrows out of tau(Y); dimension additivity of every mesh is asserted.  On
-top of the quiver sit the path order, one memoized cosyzygy per node, and
-on node ids read from it: the cosyzygy slices, projective dimension with
-its position/witness cross-checks, the left part that serves as the
-cluster fundamental domain, and the commutation and syzygy-duality
-suites.
+The nodes, tau, the arrows and the projective and injective sites are
+read from one table, quiver.knit, knitted from dimension vectors alone.
+The build only makes the modules: P(x, i) and I(x, m) directly, every
+other node as tau^{-1} of its tau node, each checked against its knitted
+dimension vector; the radical of each projective and the socle quotient of
+each injective must split into the knitted arrows.  On top of the quiver
+sit the path order, one memoized cosyzygy per node, and on node ids read
+from it: the cosyzygy slices, projective dimension with its
+position/witness cross-checks, the left part that serves as the cluster
+fundamental domain, and the commutation and syzygy-duality suites.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import layered as L
-from .errors import (ClosureIncomplete, NotInDomain, NotSupported,
-                     TheoremViolation)
-from .quiver import ReplicationSpec, dynkin_type, knit_ind
+from .errors import ClosureIncomplete, NotInDomain, TheoremViolation
+from .quiver import ReplicationSpec, knit, knit_ind
 
 
 @dataclass
@@ -53,20 +52,11 @@ class Cosyzygy(NamedTuple):
     pi_envelope: bool           # the envelope has no member at layer m
 
 
-_MAX_ORBIT = 4096
-
-
 class ARQuiver:
     """AR quiver of the m-replicated algebra of a Dynkin quiver."""
 
     def __init__(self, spec: ReplicationSpec):
-        if dynkin_type(spec.base) in (None, "kronecker"):
-            raise NotSupported("AR quiver construction needs a Dynkin base")
         self.spec = spec
-        self.nodes: list[Node] = []
-        self._buckets = {}
-        self.in_arrows = {}
-        self.out_arrows = {}
         self._pd = {}
         self._cosyz = {}
         self._node_labels = {}
@@ -76,7 +66,7 @@ class ARQuiver:
         self._left = None
         self._build()
 
-    # -- registry ------------------------------------------------------------
+    # -- node lookup -----------------------------------------------------------
 
     def _lookup(self, module):
         """The node isomorphic to module, or None.
@@ -84,18 +74,10 @@ class ARQuiver:
         The test caches its Hom basis on its first argument, so module goes
         first: a node's cache would keep every module ever looked up
         alive."""
-        for idx in self._buckets.get(module.dim_vector(), ()):
-            if L.is_iso_rep(module, self.nodes[idx].module):
-                return self.nodes[idx]
+        idx = self._by_dims.get(module.dim_vector())
+        if idx is not None and L.is_iso_rep(module, self.nodes[idx].module):
+            return self.nodes[idx]
         return None
-
-    def _register(self, module) -> Node:
-        node = self._lookup(module)
-        if node is None:
-            node = Node(len(self.nodes), module)
-            self.nodes.append(node)
-            self._buckets.setdefault(module.dim_vector(), []).append(node.idx)
-        return node
 
     def find_node(self, module) -> Node:
         node = self._lookup(module)
@@ -107,123 +89,75 @@ class ARQuiver:
     # -- construction ----------------------------------------------------------
 
     def _build(self):
-        spec = self.spec
-        q = spec.base
-        m = spec.m
-        proj_nodes = {}
-        for i in range(m + 1):
-            for x in q.vertices:
-                node = self._register(L.projective_rep(spec, x, i))
-                node.proj_site = (x, i)
-                proj_nodes[(x, i)] = node
-        for i in range(m + 1):
-            for x in q.vertices:
-                if i < m:
-                    node = proj_nodes[(x, i + 1)]
-                else:
-                    node = self._register(L.injective_rep(spec, x, m))
-                node.inj_site = (x, i)
-        for node in proj_nodes.values():
-            self._walk_forward(node)
+        spec, m, vs = self.spec, self.spec.m, self.spec.base.vertices
+        t = knit(spec.base, m)
+        # node ids: the P(x, i), the I(x, m), then for each projective the
+        # rest of its tau^{-1}-orbit, which ends at an injective
+        row = [t.proj[(x, i)] for i in range(m + 1) for x in vs]
+        row += [t.inj[(x, m)] for x in vs]
+        ends = set(row)
+        tau_inv = {k: j for j, k in enumerate(t.tau) if k is not None}
+        for k in row[:len(vs) * (m + 1)]:
+            while k in tau_inv and tau_inv[k] not in ends:
+                k = tau_inv[k]
+                row.append(k)
+        if len(row) != len(t.dims):
+            raise ClosureIncomplete("knitted nodes off the tau-orbits of the "
+                                    "projectives")
+        num = {k: i for i, k in enumerate(row)}
+        proj_site = {k: site for site, k in t.proj.items()}
+        inj_site = {k: site for site, k in t.inj.items()}
+        self.nodes = [Node(i, None, proj_site.get(k), inj_site.get(k),
+                           num.get(t.tau[k]), num.get(tau_inv.get(k)))
+                      for i, k in enumerate(row)]
+        self._by_dims = {t.dims[k]: i for i, k in enumerate(row)}
+        self.in_arrows = {i: sorted((num[e], mult) for e, mult
+                                    in t.in_arrows[k])
+                          for i, k in enumerate(row)}
+        self.out_arrows = {i: [] for i in num.values()}
+        for i, arrows in self.in_arrows.items():   # by i: each list sorted
+            for e, mult in arrows:
+                self.out_arrows[e].append((i, mult))
 
-        rad_parts = {}
-        radmap = {}
-        for (x, i), pnode in sorted(proj_nodes.items()):
-            R, _ = L.radical_sub(pnode.module)
-            entries = []
-            if not R.is_zero():
-                counts = {}
-                for s in L.decompose_rep(R):
-                    snode = self.find_node(s)
-                    counts[snode.idx] = counts.get(snode.idx, 0) + 1
-                entries = sorted(counts.items())
-            rad_parts[pnode.idx] = entries
-            for sidx, mult in entries:
-                radmap.setdefault(sidx, []).append((pnode.idx, mult))
+        def knitted(idx, M):
+            if M.dim_vector() != t.dims[row[idx]]:
+                raise ClosureIncomplete(
+                    f"n{idx} has dimension vector {M.dim_vector()}, the "
+                    f"knitted table {t.dims[row[idx]]}", witness=M)
+            return M
 
-        processed = set()
-        queue = deque()
         for node in self.nodes:
             if node.is_projective:
-                self.in_arrows[node.idx] = rad_parts[node.idx]
-                queue.append(node.idx)
-        while queue:
-            idx = queue.popleft()
-            if idx in processed:
-                continue
-            processed.add(idx)
-            node = self.nodes[idx]
-            out = {}
-            for pidx, mult in radmap.get(idx, ()):
-                out[pidx] = out.get(pidx, 0) + mult
-            for sidx, mult in self.in_arrows.get(idx, ()):
-                snode = self.nodes[sidx]
-                if not snode.is_injective:
-                    if snode.tau_inv is None:
-                        raise ClosureIncomplete(
-                            "missing tau-inverse during knitting",
-                            witness=snode.module)
-                    out[snode.tau_inv] = out.get(snode.tau_inv, 0) + mult
-            self.out_arrows[idx] = sorted(out.items())
-            if not node.is_injective:
-                nxt = node.tau_inv
-                self.in_arrows[nxt] = sorted(out.items())
-                queue.append(nxt)
-        if len(processed) != len(self.nodes):
-            missing = [n for n in self.nodes if n.idx not in processed]
-            raise ClosureIncomplete("knitting did not reach every node",
-                                    witness=missing[0].module)
-
-        self._check_meshes()
-        self._check_injective_quotients()
+                M = L.projective_rep(spec, *node.proj_site)
+            elif node.is_injective:    # I(x, m): numbered before its orbit
+                M = L.injective_rep(spec, *node.inj_site)
+            else:
+                M = L.tau_inv_rep(self.nodes[node.tau].module)
+            node.module = knitted(node.idx, M)
+            if node.tau_inv is not None and \
+                    self.nodes[node.tau_inv].is_injective:
+                knitted(node.tau_inv, L.tau_inv_rep(M))
+        for node in self.nodes:
+            if node.is_projective:
+                self._check_split(node, L.radical_sub(node.module)[0],
+                                  self.in_arrows[node.idx], "radical")
+            if node.is_injective:
+                _, incl = L.layered_sub(node.module,
+                                        L.socle_data(node.module))
+                self._check_split(node, L.cokernel_rep(incl)[0],
+                                  self.out_arrows[node.idx], "socle quotient")
         self._toposort()
 
-    def _walk_forward(self, node):
-        for _ in range(_MAX_ORBIT):
-            if node.is_injective:
-                return
-            if node.tau_inv is not None:
-                node = self.nodes[node.tau_inv]
-                continue
-            nxt = self._register(L.tau_inv_rep(node.module))
-            if nxt.tau is not None and nxt.tau != node.idx:
-                raise TheoremViolation("inconsistent tau pairing",
-                                       witness=nxt.module)
-            node.tau_inv, nxt.tau = nxt.idx, node.idx
-            node = nxt
-        raise ClosureIncomplete("tau-inverse orbit did not terminate",
-                                witness=node.module)
-
-    def _check_meshes(self):
-        for node in self.nodes:
-            if node.is_projective:
-                continue
-            tau_node = self.nodes[node.tau]
-            lhs = [0] * len(node.module.dim_vector())
-            for sidx, mult in self.in_arrows[node.idx]:
-                for k, d in enumerate(self.nodes[sidx].module.dim_vector()):
-                    lhs[k] += mult * d
-            rhs = [a + b for a, b in zip(tau_node.module.dim_vector(),
-                                         node.module.dim_vector())]
-            if lhs != rhs:
-                raise ClosureIncomplete("mesh dimension additivity failed",
-                                        witness=node.module)
-
-    def _check_injective_quotients(self):
-        for node in self.nodes:
-            if not node.is_injective:
-                continue
-            S, incl = L.layered_sub(node.module, L.socle_data(node.module))
-            Q, _ = L.cokernel_rep(incl)
-            counts = {}
-            if not Q.is_zero():
-                for s in L.decompose_rep(Q):
-                    snode = self.find_node(s)
-                    counts[snode.idx] = counts.get(snode.idx, 0) + 1
-            if sorted(counts.items()) != self.out_arrows[node.idx]:
-                raise ClosureIncomplete(
-                    "arrows out of an injective do not match its socle "
-                    "quotient", witness=node.module)
+    def _check_split(self, node, M, arrows, what):
+        """M, the radical or socle quotient of node, must split into the
+        nodes at the other ends of its knitted arrows."""
+        parts = [] if M.is_zero() else L.decompose_rep(M)
+        counts = Counter(self.find_node(s).idx for s in parts)
+        if sorted(counts.items()) != arrows:
+            raise ClosureIncomplete(
+                f"the {what} of n{node.idx} splits as "
+                f"{sorted(counts.items())}, its knitted arrows are {arrows}",
+                witness=node.module)
 
     def _toposort(self):
         indeg = {n.idx: 0 for n in self.nodes}
@@ -328,11 +262,11 @@ class ARQuiver:
         vector, the one node with it at layer 0 and zeros elsewhere."""
         if self._ind_a is None:
             zeros = (0,) * (self.spec.base.n * self.spec.m)
-            hits = [self._buckets.get(dims + zeros, ())
+            hits = [self._by_dims.get(dims + zeros)
                     for dims in knit_ind(self.spec.base).dims]
-            if any(len(h) != 1 for h in hits):
+            if None in hits:
                 raise ClosureIncomplete("level-0 part does not match ind A")
-            self._ind_a = [h[0] for h in hits]
+            self._ind_a = hits
         return self._ind_a
 
     def fundamental_domain_labels(self):
@@ -391,13 +325,11 @@ class ARQuiver:
 
     def check_trichotomy(self):
         """pd = slice position = witness membership for 1 <= pd <= m;
-        anything of larger pd must sit beyond the last slice."""
+        anything of larger pd must sit beyond the last slice.  The bound
+        pd <= 2m + 1 is check_global_dimension's."""
         m = self.spec.m
         for node in self.nodes:
             k = self.pd(node.idx)
-            if k > 2 * m + 1:
-                raise TheoremViolation("global dimension bound violated",
-                                       witness=node.module)
             if node.is_projective:
                 continue
             if k <= m:

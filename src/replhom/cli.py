@@ -61,8 +61,6 @@ def _parser():
     sp.add_argument("--kronecker-dim", type=int, default=None,
                     help="representation-infinite checks on the Kronecker "
                          "base, with this total dimension bound")
-    sp.add_argument("--inject-fault", choices=["tau-swap"], default=None,
-                    help=argparse.SUPPRESS)
     return p
 
 
@@ -152,6 +150,7 @@ def _verify_dynkin(spec):
     run("syzygy_duality", arq.check_syzygy_duality)
 
     labels = arq.fundamental_domain_labels()
+    arq.m_left_part()
     expected = spec.m * len(arq.ind_a_nodes()) + spec.base.n
     if len(labels) != expected:
         raise TheoremViolation(
@@ -206,8 +205,6 @@ def _verify_kronecker(spec, bound):
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
-    if args.inject_fault == "tau-swap":
-        return _run_fault_injection(spec)
     if args.kronecker_dim is not None:
         if dynkin_type(spec.base) != "kronecker":
             raise NotSupported("--kronecker-dim needs the Kronecker quiver "
@@ -217,27 +214,6 @@ def cmd_verify(args) -> int:
         report = _verify_dynkin(spec)
     report["all"] = "pass"
     print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _run_fault_injection(spec) -> int:
-    """Test hook: corrupt the translate pairing, expect the trichotomy check
-    to catch the missing witness."""
-    from .arquiver import ARQuiver
-    arq = ARQuiver(spec)
-    victim = None
-    for node in arq.nodes:
-        if node.is_injective or node.tau_inv is None:
-            continue
-        tgt = arq.nodes[node.tau_inv]
-        if not tgt.is_proj_inj and 1 <= arq.pd(tgt.idx) <= spec.m:
-            victim = node
-            break
-    if victim is None:
-        raise TheoremViolation("no node suitable for corruption")
-    victim.tau_inv = victim.idx
-    arq.check_trichotomy()
-    print(json.dumps({"fault_injection": "not detected"}))
     return EXIT_OK
 
 

@@ -9,14 +9,17 @@ is sorted id, so every downstream basis and output is reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .errors import NotSupported
 
 __all__ = [
     "Quiver", "ReplicationSpec", "QuiverError", "CycleFound", "Disconnected",
     "validate_hereditary", "grothendieck_rank", "replicated_vertex_set",
-    "load_quiver", "quiver_from_dict", "dynkin_type", "knit_ind", "IndTable",
-    "LVertex",
+    "load_quiver", "quiver_from_dict", "dynkin_type", "knit", "KnitTable",
+    "knit_ind", "IndTable", "LVertex",
 ]
 
 
@@ -298,6 +301,95 @@ def fuss_catalan(kind, m: int) -> int:
     return count
 
 
+class KnitTable(NamedTuple):
+    """The AR quiver of A^(m) in integers, nodes in a topological order:
+    dims[k] flat over (layer, vertex), tau[k] (None for a projective),
+    in_arrows[k] the sorted (node, multiplicity) pairs of the arrows into
+    k, and the nodes of P(x, i) and I(x, i) in proj[(x, i)], inj[(x, i)]."""
+    dims: list
+    tau: list
+    in_arrows: list
+    proj: dict
+    inj: dict
+
+
+def knit(q: Quiver, m: int) -> KnitTable:
+    """The AR quiver of the m-replicated algebra A^(m) of a Dynkin quiver,
+    knitted from dimension vectors alone (Assem-Simson-Skowronski IV.4);
+    m = 0 gives ind A.
+
+    A^(m) is representation-directed, so a node is fixed by its dimension
+    vector.  With dim P_A(x)_y the number of paths x -> y and dim I_A(x)_y
+    that of paths y -> x, P(x, 0) is P_A(x) in layer 0, its radical the
+    sum of the P(y, 0) over the arrows x -> y; P(x, i), i >= 1, is P_A(x)
+    in layer i over I_A(x) in layer i - 1, its radical indecomposable of
+    dimension vector dim P(x, i) - e(x, i); I(x, i) is P(x, i + 1) for
+    i < m, and I_A(x) in layer m.  A node is knitted once its
+    predecessors are: its arrows go to tau^{-1} E for each non-injective
+    E -> X and to each projective whose radical holds X, and tau^{-1} X is
+    the sum of those targets minus X.
+    """
+    if dynkin_type(q) in (None, "kronecker"):
+        raise NotSupported("AR quiver construction needs a Dynkin base")
+    paths, vs, n = q.paths(), q.vertices, q.n
+
+    def placed(*parts):         # (layer, counts over vs) -> flat vector
+        vec = [0] * (n * (m + 1))
+        for i, counts in parts:
+            vec[i * n:(i + 1) * n] = counts
+        return tuple(vec)
+
+    p_a = {x: [len(paths[(x, y)]) for y in vs] for x in vs}
+    i_a = {x: [len(paths[(y, x)]) for y in vs] for x in vs}
+    proj = {(x, 0): placed((0, p_a[x])) for x in vs}
+    proj.update({(x, i): placed((i, p_a[x]), (i - 1, i_a[x]))
+                 for i in range(1, m + 1) for x in vs})
+    inj = {(x, i): proj[(x, i + 1)] if i < m else placed((m, i_a[x]))
+           for i in range(m + 1) for x in vs}
+    injective = set(inj.values())
+    in_arrows, into = {}, {}     # into: radical summand -> its projectives
+    for (x, i), p in proj.items():
+        if i:
+            rad = list(p)
+            rad[i * n + q.vindex[x]] -= 1
+            in_arrows[p] = Counter([tuple(rad)])
+        else:
+            in_arrows[p] = Counter(proj[(q.arrow_tgt[a], 0)]
+                                   for a in q.out_arrows[x])
+        for r, mult in in_arrows[p].items():
+            into.setdefault(r, Counter())[p] += mult
+    waiting = {p: len(rad) for p, rad in in_arrows.items()}
+    ready = deque(p for p, w in waiting.items() if not w)
+    order, tau, tau_inv = [], {}, {}
+    while ready:
+        X = ready.popleft()
+        order.append(X)
+        out = Counter(into.get(X, ()))
+        for E, mult in in_arrows[X].items():
+            if E not in injective:
+                out[tau_inv[E]] += mult
+        for T in out:
+            waiting[T] -= 1
+            if not waiting[T]:
+                ready.append(T)
+        if X not in injective:
+            Y = tuple(sum(mult * T[k] for T, mult in out.items()) - X[k]
+                      for k in range(len(X)))
+            if Y in in_arrows or min(Y) < 0 or not out:
+                raise ArithmeticError(f"knitting met {Y} as tau^-1 of {X}")
+            tau_inv[X], tau[Y], in_arrows[Y], waiting[Y] = Y, X, out, len(out)
+    if len(order) != len(in_arrows) or not injective <= in_arrows.keys():
+        raise ArithmeticError("knitting stalled before every injective")
+    at = {d: k for k, d in enumerate(order)}
+    return KnitTable(
+        dims=order,
+        tau=[at[tau[d]] if d in tau else None for d in order],
+        in_arrows=[sorted((at[e], mult) for e, mult in in_arrows[d].items())
+                   for d in order],
+        proj={site: at[d] for site, d in proj.items()},
+        inj={site: at[d] for site, d in inj.items()})
+
+
 class IndTable(NamedTuple):
     """Ind A in integers: dims[k] over q.vertices, tau[k] (None for a
     projective), hom[a][b] = dim Hom(ind[a], ind[b]), positions of P(x)
@@ -315,46 +407,25 @@ class IndTable(NamedTuple):
 
 
 def knit_ind(q: Quiver) -> IndTable:
-    """Ind A of a Dynkin quiver knitted from dimension vectors, ordered
-    like repa.enumerate_ind: by total dimension, then dimension vector.
+    """Ind A of a Dynkin quiver, knit(q, 0) ordered like repa.enumerate_ind:
+    by total dimension, then dimension vector.
 
-    Node (x, r) is tau^{-r} P(x).  P(x) counts the paths out of x and
-    rad P(x) is the sum of P(y) over the arrows x -> y, so the arrows into
-    (x, r) come from (y, r) and, over the arrows z -> x, from (z, r - 1);
-    tau^{-1} X is the sum of X's successors minus X, up to an injective.
-    Round by round, sinks first, each node follows its predecessors, so
-    Hom(X, Y) = sum of Hom(X, E) over E -> Y - Hom(X, tau Y) + [X = Y].
+    Hom is counted along the meshes in knit's topological order: Hom(X, Y)
+    is the sum of Hom(X, E) over the arrows E -> Y, minus Hom(X, tau Y),
+    plus [X = Y].
     """
-    paths, vs = q.paths(), q.vertices
-    injective = {tuple(len(paths[(y, x)]) for y in vs): x for x in vs}
-    sinks_first = q.topological_order()[::-1]
-
-    def preds(x, r):
-        return ([(q.arrow_tgt[a], r) for a in q.out_arrows[x]]
-                + [(q.arrow_src[a], r - 1) for a in q.in_arrows[x] if r])
-
-    nodes = {(x, 0): tuple(len(paths[(x, y)]) for y in vs)
-             for x in sinks_first}
-    knit, r = sinks_first, 0
-    while knit:
-        r += 1
-        knit = [x for x in knit if nodes[(x, r - 1)] not in injective]
-        for x in knit:
-            rows = [nodes[p] for p in preds(x, r)]
-            nodes[(x, r)] = tuple(sum(col) - d for col, d in
-                                  zip(zip(*rows), nodes[(x, r - 1)]))
-    hom = {node: {} for node in nodes}
-    for x, r in nodes:
-        into = preds(x, r)
-        for node, row in hom.items():
-            row[(x, r)] = (sum(row[p] for p in into) + (node == (x, r))
-                           - row.get((x, r - 1), 0))
-    order = sorted(nodes, key=lambda n: (sum(nodes[n]), nodes[n]))
-    rank = {n: k for k, n in enumerate(order)}
-    at = {nodes[n]: k for n, k in rank.items()}
+    t = knit(q, 0)
+    hom = [[0] * len(t.dims) for _ in t.dims]
+    for b, into in enumerate(t.in_arrows):
+        for a, row in enumerate(hom):
+            row[b] = (sum(mult * row[e] for e, mult in into) + (a == b)
+                      - (0 if t.tau[b] is None else row[t.tau[b]]))
+    order = sorted(range(len(t.dims)), key=lambda k: (sum(t.dims[k]),
+                                                      t.dims[k]))
+    rank = {k: r for r, k in enumerate(order)}
     return IndTable(
-        dims=[nodes[n] for n in order],
-        tau=[rank.get((x, r - 1)) for x, r in order],
+        dims=[t.dims[k] for k in order],
+        tau=[None if t.tau[k] is None else rank[t.tau[k]] for k in order],
         hom=[[hom[a][b] for b in order] for a in order],
-        proj={x: rank[(x, 0)] for x in vs},
-        inj={x: at[d] for d, x in injective.items()})
+        proj={x: rank[t.proj[(x, 0)]] for x in q.vertices},
+        inj={x: rank[t.inj[(x, 0)]] for x in q.vertices})

@@ -16,8 +16,9 @@ On a representation-finite base the complement falls back to exhaustive
 search over the AR quiver.
 
 A context with an AR quiver takes the node route whenever every summand
-is isomorphic to an AR node; otherwise (the Kronecker base, a context
-without an AR quiver, a decomposable summand) it takes the module route.
+is isomorphic to an AR node, which basic() ensures by splitting a summand
+that is none; otherwise (the Kronecker base, a context without an AR
+quiver, whose summands must be indecomposable) it takes the module route.
 A context with an AR quiver names a module by its node, found once per
 module through the quiver's dimension-vector buckets and one isomorphism
 test, and compares two modules by their nodes when either has one.  On the
@@ -149,13 +150,22 @@ class TiltingContext:
     # -- candidates -----------------------------------------------------------
 
     def basic(self, summands):
-        """Deduplicate a summand list up to isomorphism (order-preserving)."""
+        """Deduplicate a summand list up to isomorphism (order-preserving).
+
+        With an AR quiver, a summand isomorphic to no node is first
+        replaced by its indecomposable summands, each a node over the
+        representation-finite base.  Without one, the summands must be
+        indecomposable: _same, sites_outside and the approximations assume
+        it."""
         if isinstance(summands, _BasicExceptional):
             return summands
         out = []
         for s in summands:
-            if not any(self._same(s, t) for t in out):
-                out.append(s)
+            parts = [s] if self.arq is None or self._node_id(s) is not None \
+                else L.decompose_rep(s)
+            for p in parts:
+                if not any(self._same(p, t) for t in out):
+                    out.append(p)
         return out
 
     def split_candidate(self, summands):

@@ -3,10 +3,12 @@ from collections import Counter
 import pytest
 
 from knitting import knit
+from replhom import arquiver
 from replhom.arquiver import ARQuiver
 from replhom.errors import ClosureIncomplete, NotInDomain, TheoremViolation
 from replhom.quiver import Quiver, ReplicationSpec
 from replhom import layered as L
+from replhom import quiver
 
 
 # The Loewy labels of the nine indecomposables over the duplicated A_2 and
@@ -207,7 +209,8 @@ def test_corrupted_tau_detected(spec_a2_m1):
     arq = ARQuiver(spec_a2_m1)
     victim = _tau_victim(arq)
     victim.tau_inv = victim.idx
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation,
+                       match="no translate-of-cosyzygy witness"):
         arq.check_trichotomy()
 
 
@@ -394,3 +397,81 @@ def test_ar_quiver_matches_knitting(request, name, m):
                               for t, mult in outs})
     assert tau == {dv[n.idx]: dv[n.tau] for n in arq.nodes
                    if n.tau is not None}
+
+
+# -- the build checks every module against the knitted table ------------------
+
+def _corrupted_build(monkeypatch, spec, corrupt):
+    """Build spec's AR quiver on a knitted table that corrupt(table, arq)
+    has changed, arq being the sound quiver; the id of the node corrupt
+    returns must be named by the build's ClosureIncomplete."""
+    arq = ARQuiver(spec)
+    table = quiver.knit(spec.base, spec.m)
+    row = {d: k for k, d in enumerate(table.dims)}
+    bad, idx = corrupt(table, arq, lambda n: row[n.module.dim_vector()])
+    monkeypatch.setattr(arquiver, "knit", lambda q, m: bad)
+    with pytest.raises(ClosureIncomplete, match=rf"\bn{idx}\b"):
+        ARQuiver(spec)
+
+
+def test_wrong_knitted_dimension_vector_is_named(a3, monkeypatch):
+    def corrupt(t, arq, row):
+        node = next(n for n in arq.nodes
+                    if not n.is_projective and not n.is_injective)
+        dims = list(t.dims)
+        dims[row(node)] = tuple(d + (k == 0) for k, d in
+                                enumerate(dims[row(node)]))
+        return t._replace(dims=dims), node.idx
+
+    _corrupted_build(monkeypatch, ReplicationSpec(a3, 2), corrupt)
+
+
+def test_dropped_arrow_into_a_projective_is_named(a3, monkeypatch):
+    def corrupt(t, arq, row):
+        node = next(n for n in arq.nodes
+                    if n.is_projective and arq.in_arrows[n.idx])
+        into = list(t.in_arrows)
+        into[row(node)] = into[row(node)][1:]
+        return t._replace(in_arrows=into), node.idx
+
+    _corrupted_build(monkeypatch, ReplicationSpec(a3, 2), corrupt)
+
+
+def test_dropped_arrow_out_of_an_injective_is_named(a3, monkeypatch):
+    def corrupt(t, arq, row):
+        node, tgt = next((n, arq.nodes[j]) for n in arq.nodes
+                         if n.is_injective
+                         for j, _ in arq.out_arrows[n.idx]
+                         if not arq.nodes[j].is_projective)
+        into = list(t.in_arrows)
+        into[row(tgt)] = [(e, mult) for e, mult in into[row(tgt)]
+                          if e != row(node)]
+        return t._replace(in_arrows=into), node.idx
+
+    _corrupted_build(monkeypatch, ReplicationSpec(a3, 2), corrupt)
+
+
+@pytest.mark.parametrize("name,m", [("a3", 2), ("d4", 1)])
+def test_build_makes_one_translate_per_non_injective_node(
+        request, monkeypatch, name, m):
+    """One tau_inv_rep per non-injective node, and isomorphism tests only
+    where the radicals and socle quotients are matched to their nodes, one
+    per indecomposable summand."""
+    tau_inv = _counting(monkeypatch, "tau_inv_rep")
+    iso = _counting(monkeypatch, "is_iso_rep")
+    splitting = []
+    check_split = ARQuiver._check_split
+
+    def counted_split(self, *args):
+        splitting.append(len(iso))
+        check_split(self, *args)
+        splitting[-1] = len(iso) - splitting[-1]
+
+    monkeypatch.setattr(ARQuiver, "_check_split", counted_split)
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    assert len(tau_inv) == sum(not n.is_injective for n in arq.nodes)
+    assert len(iso) == sum(splitting) == (
+        sum(mult for n in arq.nodes if n.is_projective
+            for _, mult in arq.in_arrows[n.idx])
+        + sum(mult for n in arq.nodes if n.is_injective
+              for _, mult in arq.out_arrows[n.idx]))

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from replhom import layered as L
 from replhom.cli import main
+from replhom.errors import TheoremViolation
+from replhom.quiver import ReplicationSpec, load_quiver
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -150,13 +153,62 @@ def test_verify_passes(a2_file, capsys):
     assert report["fundamental_domain_size"] == 5
 
 
-def test_verify_fault_injection(a2_file, capsys):
-    code, _, err = run(capsys, "verify", "--quiver", a2_file, "--m", "1",
-                       "--inject-fault", "tau-swap")
+def test_verify_runs_the_left_part_check_once(a2_file, monkeypatch,
+                                              capsys):
+    from replhom.arquiver import ARQuiver
+    calls = []
+    real = ARQuiver.m_left_part
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ARQuiver, "m_left_part", counted)
+    code, _, _ = run(capsys, "verify", "--quiver", a2_file, "--m", "1")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_violation_report_names_its_witness(a2_file, monkeypatch, capsys):
+    from replhom.arquiver import ARQuiver
+
+    def broken(self):
+        raise TheoremViolation("a planted violation",
+                               witness=self.nodes[0].module)
+
+    monkeypatch.setattr(ARQuiver, "check_commutation", broken)
+    code, stdout, err = run(capsys, "verify", "--quiver", a2_file, "--m", "1")
     assert code == 1
+    assert stdout == ""
     detail = json.loads(err)
     assert detail["error"] == "TheoremViolation"
+    assert detail["detail"] == "a planted violation"
     assert "witness" in detail
+
+
+@pytest.mark.parametrize("split", ["projective_injectives", "layer_zero"])
+@pytest.mark.parametrize("complement", [False, True])
+def test_tilt_check_splits_a_direct_sum_summand(a2_file, tmp_path, capsys,
+                                                split, complement):
+    """The regular module with two of its projectives given as one summand
+    is still tilting, with four summands."""
+    from replhom.arquiver import ARQuiver
+    spec = ReplicationSpec(load_quiver(a2_file), 1)
+    P = {n.proj_site: n.module for n in ARQuiver(spec).nodes
+         if n.is_projective}
+    layer = 1 if split == "projective_injectives" else 0
+    mods = [L.layered_direct_sum(spec, [P[("a", layer)], P[("b", layer)]]),
+            P[("a", 1 - layer)], P[("b", 1 - layer)]]
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"modules": [M.to_dict() for M in mods]}))
+    code, stdout, _ = run(capsys, "tilt-check", str(cand), "--quiver",
+                          a2_file, "--m", "1",
+                          *(["--complement"] if complement else []))
+    assert code == 0
+    verdict = json.loads(stdout)
+    assert verdict["tilting"] and verdict["summands"] == 4
+    if complement:
+        assert verdict["complement"] == []
 
 
 def test_verify_catches_a_wrong_tilting_count(a2_file, monkeypatch,

@@ -1,12 +1,15 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import knitting
 from replhom import repa
+from replhom.errors import NotSupported
 from replhom.quiver import (CycleFound, Disconnected, Quiver, QuiverError,
                             ReplicationSpec, coxeter_exponents, dynkin_type,
-                            fuss_catalan, grothendieck_rank, knit_ind,
+                            fuss_catalan, grothendieck_rank, knit, knit_ind,
                             load_quiver, replicated_vertex_set,
                             validate_hereditary)
 
@@ -151,6 +154,47 @@ def test_coxeter_exponents_count_the_knitted_ind(kind, n):
     assert sorted(h - e for e in exponents) == list(exponents)
     assert sum(exponents) == n * h // 2
     assert len(knit_ind(_seeded_dynkin(kind, n, 0)).dims) == sum(exponents)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind, n, seed", [("A", 5, 0), ("A", 5, 1),
+                                           ("D", 5, 0), ("D", 6, 1),
+                                           ("E", 7, 0), ("E", 8, 1)])
+def test_knit_matches_the_oracle_knitter(kind, n, seed, m):
+    """quiver.knit against tests/knitting.py, which shares no code with
+    it: dimension vectors, arrows with multiplicities and tau; the nodes
+    come in a topological order, and there are (2m+1) n h / 2 of them."""
+    q = _seeded_dynkin(kind, n, seed)
+    t = knit(q, m)
+    dims, arrows, tau = knitting.knit(
+        q.vertices, [(src, tgt) for _, src, tgt in q.arrows], m)
+    assert len(set(t.dims)) == len(t.dims) and set(t.dims) == dims
+    assert Counter({(t.dims[e], t.dims[k]): mult
+                    for k, into in enumerate(t.in_arrows)
+                    for e, mult in into}) == arrows
+    assert {t.dims[k]: t.dims[j] for k, j in enumerate(t.tau)
+            if j is not None} == tau
+    assert all(e < k for k, into in enumerate(t.in_arrows) for e, _ in into)
+    assert all(j < k for k, j in enumerate(t.tau) if j is not None)
+    h, _ = coxeter_exponents((kind, n))
+    assert len(t.dims) == (2 * m + 1) * n * h // 2
+    for x in q.vertices:
+        assert t.tau[t.proj[(x, 0)]] is None
+        for i in range(m):
+            assert t.inj[(x, i)] == t.proj[(x, i + 1)]
+
+
+@pytest.mark.parametrize("q", [
+    Quiver(["a", "b"], [("a1", "b", "a"), ("a2", "b", "a")]),
+    Quiver(["a", "b", "c", "d"], [("x", "a", "b"), ("y", "b", "c"),
+                                  ("z", "c", "d"), ("w", "a", "d")])],
+    ids=["kronecker", "affine_a3"])
+def test_knitting_rejects_non_dynkin_quivers(q):
+    """Knitting a representation-infinite quiver would never end."""
+    with pytest.raises(NotSupported):
+        knit(q, 1)
+    with pytest.raises(NotSupported):
+        knit_ind(q)
 
 
 def test_fuss_catalan_numbers():

@@ -605,10 +605,11 @@ def test_counting_criterion_catches_a_module_chain_that_does_not_complete(
 
 def test_module_route_serves_kronecker_and_non_node_summands(
         kronecker, spec_a2_m1, arq_a2_m1, mods):
-    """Without an AR quiver, or with a summand isomorphic to no AR node,
-    is_tilting builds the chain of modules; a summand that is a copy of a
-    node takes the node route.  Each verdict is the one the chain of the
-    whole regular module gives."""
+    """Without an AR quiver is_tilting builds the chain of modules.  With
+    one, basic() splits a summand isomorphic to no AR node, such as a
+    direct sum of nodes, into its nodes, so the node route serves it and
+    gives the verdict of the chain of its split summands; a summand that
+    is a copy of a node takes the node route as it is."""
     kctx = TiltingContext(ReplicationSpec(kronecker, 1))
     calls = _counted(kctx, ("approximation_chain",))
     for cand in sample_faithful_exceptional(kctx, 6, 4):
@@ -623,25 +624,26 @@ def test_module_route_serves_kronecker_and_non_node_summands(
     calls = _counted(tctx, ("approximation_chain",))
     pis = [mods["a1/b0/a0"], mods["b1/a1/b0"]]
     tilting = pis + [mods["a1/b0"], mods["a1"]]
-    summed = [  # a direct sum of two nodes as one summand
+    summed = [  # a direct sum of two nodes as one summand; two are A itself
         [L.layered_direct_sum(tctx.spec, [mods["a0"], mods["b0/a0"]])] + pis,
         pis + [L.layered_direct_sum(tctx.spec, tilting[2:])],
         [L.layered_direct_sum(tctx.spec, pis), mods["a0"], mods["b0/a0"]]]
     for T in summed:
         assert tctx.node_ids(T) is None
+        parts = tctx.basic(T)
+        assert len(parts) == 4 and tctx.node_ids(parts) is not None
         assert tctx.is_exceptional(T)
         before = calls["approximation_chain"]
-        assert not tctx.is_tilting(T)
-        assert calls["approximation_chain"] == before + 1
-        assert not tctx.approximation_chain(T).completed
-    assert not tctx._steps
+        assert tctx.is_tilting(T)
+        assert calls["approximation_chain"] == before
+        assert tctx.approximation_chain(parts).completed
+    assert tctx._steps
     copies = [L.LayeredModule.from_dict(tctx.spec, M.to_dict())
               for M in tilting]
     assert tctx.node_ids(copies) == tctx.node_ids(tilting)
     before = calls["approximation_chain"]
     assert tctx.is_tilting(copies)
     assert calls["approximation_chain"] == before
-    assert tctx._steps
 
 
 def test_cokernel_summand_without_a_node_names_its_step(
