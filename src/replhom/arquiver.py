@@ -195,17 +195,6 @@ class ARQuiver:
         i = node.idx if isinstance(node, Node) else node
         return [n.idx for n in self.nodes if self.leq(n.idx, i)]
 
-    def set_leq(self, s1, s2) -> bool:
-        """Set order on node sets (used for consecutive slices)."""
-        s1, s2 = list(s1), list(s2)
-        if not all(any(self.leq(a, b) for a in s1) for b in s2):
-            return False
-        if not all(any(self.leq(a, b) for b in s2) for a in s1):
-            return False
-        if any(self.leq(b, a) and a != b for a in s1 for b in s2):
-            return False
-        return True
-
     # -- cosyzygies, slices and projective dimension ----------------------------
 
     def _cosyzygy(self, i) -> Cosyzygy:

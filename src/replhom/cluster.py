@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .arquiver import ARQuiver
 from .errors import NotSupported, WindowViolation
 from .quiver import ReplicationSpec, dynkin_type, knit_ind
-from .tilting import TiltingContext, compatible_sets
+from .tilting import BasicExceptional, TiltingContext, compatible_sets
 
 
 @dataclass(frozen=True, order=True)
@@ -137,12 +137,6 @@ class ClusterContext:
                     return False
         return True
 
-    def is_tilting_object(self, objs) -> bool:
-        objs = list(objs)
-        return (len(set(objs)) == len(objs)
-                and len(objs) == self.spec.base.n
-                and self.is_exceptional_object(objs))
-
     def compatibility_pairs(self):
         """(objects, {(a, b): compatible} for a < b), built once."""
         if self._pairs is None:
@@ -170,17 +164,6 @@ class ClusterContext:
         """All maximal pairwise-compatible sets (size = rank of the base)."""
         n = self.spec.base.n
         return [t for t in self.compatible_object_sets() if len(t) == n]
-
-    def compatibility_dot(self) -> str:
-        objs, table = self.compatibility_pairs()
-        lines = ["graph cluster_compatibility {", "  node [fontsize=10];"]
-        for k, o in enumerate(objs):
-            lines.append(f'  o{k} [label="{o.describe(self)}"];')
-        for (a, b), ok in sorted(table.items()):
-            if ok:
-                lines.append(f"  o{a} -- o{b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +204,13 @@ def verify_bijection(spec: ReplicationSpec, arq=None, tctx=None, cctx=None):
 
     violations = []
 
-    # tilting level
-    module_tilting = []
-    for cand in mod_sets[n]:
-        full = [arq.nodes[i].module for i in cand] + list(tctx.proj_inj)
-        if tctx.is_tilting(full):
-            module_tilting.append(cand)
-        else:
-            violations.append({"kind": "counting_criterion",
-                               "summands": [f"n{i}" for i in cand]})
+    # tilting level: the enumeration decided every pool pair, the pool has
+    # no projective-injective, and Ext^i(P, -) = 0 = Ext^i(-, I), so each
+    # candidate with the projective-injectives is basic and exceptional;
+    # is_tilting raises unless it is tilting (it has rank-many summands)
+    module_tilting = [
+        cand for cand in mod_sets[n] if tctx.is_tilting(BasicExceptional(
+            [arq.nodes[i].module for i in cand] + tctx.proj_inj))]
     cluster_tilting = cctx.enumerate_tilting_objects()
     cluster_tilting_sets = {frozenset(t) for t in cluster_tilting}
     matched = []

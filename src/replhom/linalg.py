@@ -527,7 +527,3 @@ class QMatrix:
     def to_lists(self):
         """Nested lists with entries as "p/q" strings (ints stay "p")."""
         return [[str(x) for x in row] for row in self.data]
-
-    @classmethod
-    def from_lists(cls, rows, cols, lists):
-        return cls(rows, cols, lists if lists else None)

@@ -145,8 +145,9 @@ def compose(g: AMorphism, f: AMorphism) -> AMorphism:
 def _rep_cache(q: Quiver):
     cache = getattr(q, "_rep_cache", None)
     if cache is None:
-        # setdefault, not assignment: two racing first callers would each
-        # install a dict, and one would cache its sums in a lost one
+        # setdefault, not assignment: the library starts no thread, but two
+        # first callers racing in a caller's threads would each install a
+        # dict, and one would cache its sums in a lost one
         cache = vars(q).setdefault("_rep_cache", {})
     return cache
 

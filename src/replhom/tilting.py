@@ -15,27 +15,45 @@ representation-infinite base keeps the chain of the whole regular module.
 On a representation-finite base the complement falls back to exhaustive
 search over the AR quiver.
 
-A context with an AR quiver takes the node route whenever every summand
-is isomorphic to an AR node, which basic() ensures by splitting a summand
-that is none; otherwise (the Kronecker base, a context without an AR
-quiver, whose summands must be indecomposable) it takes the module route.
-A context with an AR quiver names a module by its node, found once per
-module through the quiver's dimension-vector buckets and one isomorphism
-test, and compares two modules by their nodes when either has one.  On the
-node route the coresolution is taken node by node.  The minimal left
-approximation of an indecomposable X into add T depends only on X and on
-the summands T_j with Hom(X, T_j) != 0, so one step is computed, verified
-and memoized per (node, that Hom-support): stalled, or the AR nodes of its
-cokernel.  A step builds no module.  Its approximation f: X -> T0 is mono
-when the stacked component blocks have rank dim X at every (layer, vertex),
-and the multiplicity of a node Y in C = coker f is read by Auslander's
-formula dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), E the middle
-term of the AR sequence ending in Y (rad Y, with no tau term, for a
-projective Y), from the ranks of Hom(T0, N) -> Hom(X, N) (Auslander-
-Reiten-Smalo IV.4).  As approximations are additive, the chain of the
-projectives outside add T completes exactly when every one of them reaches
-zero within 2m+1 steps.  The module route builds the chain out of cokernel
-modules; the tests use it as the oracle of the node route.
+Each fact about a candidate is decided once.  basic() keeps one module per
+isomorphism class: with an AR quiver the class's node module (a summand
+isomorphic to no node is split into its indecomposable summands, each a
+node over the representation-finite base), without one the context's
+P(x, i) for a summand isomorphic to it.  So the methods reading a basic
+list compare its modules by identity.  A list found basic and exceptional
+is marked as such (BasicExceptional), by the verdict, is_tilting, the
+complement search or the enumeration of the bijection, and neither fact is
+decided again.
+
+A context with an AR quiver takes the node route; otherwise (the Kronecker
+base, or a context without an AR quiver, whose summands must be
+indecomposable) it takes the module route.  On the node route the
+coresolution is taken node by node.  The minimal left approximation of an
+indecomposable X into add T depends only on X and on the summands T_j with
+Hom(X, T_j) != 0, so one step is computed, verified and memoized per
+(node, that Hom-support): stalled, or the AR nodes of its cokernel.  A step
+builds no module.  Its approximation f: X -> T0 is mono when the stacked
+component blocks have rank dim X at every (layer, vertex), and the
+multiplicity of a node Y in C = coker f is read by Auslander's formula
+dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), E the middle term of the
+AR sequence ending in Y (rad Y, with no tau term, for a projective Y), from
+the ranks of Hom(T0, N) -> Hom(X, N) (Auslander-Reiten-Smalo IV.4).  As
+approximations are additive, the chain of the projectives outside add T
+completes exactly when every one of them reaches zero within 2m+2 steps.
+The module route builds the chain out of cokernel modules; the tests use
+it as the oracle of the node route.
+
+Both routes test C_0, ..., C_{2m+2} for zero, and for an exceptional T
+that bound suffices.  A left approximation C_k -> T_k makes Hom(T_k, T) ->
+Hom(C_k, T) onto, so every C_k of a chain that has not stalled lies in
+perp T (Ext^{>=1}(C_k, T) = 0), and shifting dimension along the chain
+gives Ext^1(C_{g+1}, C_g) = Ext^{g+1}(C_{g+1}, C_0), which is 0 at
+g = 2m+1, the global dimension.  So C_g -> T_g splits and C_{g+1} = 0: a
+chain that has neither stalled nor reached zero by C_{2m+2} raises
+TheoremViolation.  A tilting module of pd d has an add T-coresolution of
+A of length d (Miyashita), and d can be 2m+1.  The counting criterion is
+asserted on every verdict as the paper states it: a basic exceptional
+module is tilting exactly when it has n(m+1) summands.
 
 An approximation picks its representatives of Hom(M, T_j) modulo radical
 maps against one echelon form per target T_j, and is then checked exactly:
@@ -86,10 +104,10 @@ def compatible_sets(n, pair_ok, max_size, item_ok=None):
     return extend((), 0)
 
 
-class _BasicExceptional(list):
-    """A summand list already made basic and found exceptional, by verdict
-    or by the complement search; basic() and is_exceptional() take both
-    facts as decided."""
+class BasicExceptional(list):
+    """A summand list already made basic and found exceptional, by the
+    verdict, is_tilting, the complement search or the enumeration of the
+    bijection; basic() and is_exceptional() take both facts as decided."""
 
 
 class TiltingContext:
@@ -101,42 +119,23 @@ class TiltingContext:
         q = spec.base
         self.proj_sites = [(x, i) for i in range(spec.m + 1)
                            for x in q.vertices]
-        self.projectives = {site: L.projective_rep(spec, *site)
-                            for site in self.proj_sites}
+        self._site_nodes = {} if arq is None else {
+            node.proj_site: node.idx for node in arq.nodes
+            if node.is_projective}
+        # with an AR quiver, the projective nodes' own modules: basic()
+        # keeps those for the classes of the P(x, i)
+        self.projectives = {
+            site: L.projective_rep(spec, *site) if arq is None
+            else arq.nodes[self._site_nodes[site]].module
+            for site in self.proj_sites}
         self.proj_inj = [self.projectives[(x, i)] for x, i in self.proj_sites
                          if i >= 1]
         self.regular = L.lproj_sum(spec, tuple(self.proj_sites))
-        # the node route (see the module docstring): the node of each module
-        # met, by id, with the module kept so the id stays its own, and the
-        # approximation steps per (node, Hom-support in T)
-        self._node_of = {}
+        # the node route's approximation steps per (node, Hom-support in T)
         self._steps = {}
         # the echelon span of the projective-injectives' annihilator rows,
         # reduced on first use (_annihilator_is_zero)
         self._pi_span = None
-        self._site_nodes = {} if arq is None else {
-            node.proj_site: node.idx for node in arq.nodes
-            if node.is_projective}
-
-    # -- node identity -----------------------------------------------------------
-
-    def _node_id(self, M):
-        """The index of the AR node isomorphic to M, or None."""
-        hit = self._node_of.get(id(M))
-        if hit is None:
-            node = self.arq._lookup(M)
-            hit = self._node_of[id(M)] = (M, None if node is None
-                                          else node.idx)
-        return hit[1]
-
-    def _same(self, X, Y) -> bool:
-        """Whether X and Y are isomorphic: by their AR nodes when either is
-        isomorphic to one, else by an isomorphism test."""
-        if self.arq is not None:
-            a, b = self._node_id(X), self._node_id(Y)
-            if a is not None or b is not None:
-                return a == b
-        return L.is_iso_rep(X, Y)
 
     def node_ids(self, summands):
         """The AR node index of every summand, in order, or None when the
@@ -144,27 +143,38 @@ class TiltingContext:
         whether the node route applies."""
         if self.arq is None:
             return None
-        ids = [self._node_id(M) for M in summands]
-        return None if None in ids else ids
+        nodes = [self.arq._lookup(M) for M in summands]
+        return None if any(n is None for n in nodes) else \
+            [n.idx for n in nodes]
 
     # -- candidates -----------------------------------------------------------
 
     def basic(self, summands):
-        """Deduplicate a summand list up to isomorphism (order-preserving).
+        """The summands up to isomorphism, in order of first appearance,
+        each replaced by the one module the context keeps for its class.
 
-        With an AR quiver, a summand isomorphic to no node is first
-        replaced by its indecomposable summands, each a node over the
-        representation-finite base.  Without one, the summands must be
-        indecomposable: _same, sites_outside and the approximations assume
-        it."""
-        if isinstance(summands, _BasicExceptional):
+        With an AR quiver that is the node module of the class; a summand
+        isomorphic to no node is first split into its indecomposable
+        summands, each a node over the representation-finite base.  Without
+        one it is projectives[(x, i)] for a summand isomorphic to P(x, i),
+        else the first summand of the class in the list; the summands must
+        then be indecomposable, as sites_outside and the approximations
+        assume.  The methods that read a basic list compare its modules by
+        identity."""
+        if isinstance(summands, BasicExceptional):
             return summands
-        out = []
+        out, kept = [], set()
         for s in summands:
-            parts = [s] if self.arq is None or self._node_id(s) is not None \
-                else L.decompose_rep(s)
+            if self.arq is None:
+                known = [*self.projectives.values(), *out]
+                parts = [next((t for t in known if L.is_iso_rep(s, t)), s)]
+            else:
+                node = self.arq._lookup(s)
+                parts = [node.module] if node is not None else [
+                    self.arq.find_node(p).module for p in L.decompose_rep(s)]
             for p in parts:
-                if not any(self._same(p, t) for t in out):
+                if p not in kept:
+                    kept.add(p)
                     out.append(p)
         return out
 
@@ -188,7 +198,7 @@ class TiltingContext:
                    for i in range(1, ext_horizon(self.spec) + 1))
 
     def is_exceptional(self, summands) -> bool:
-        if isinstance(summands, _BasicExceptional):
+        if isinstance(summands, BasicExceptional):
             return True
         summands = list(summands)
         for X in summands:
@@ -267,16 +277,18 @@ class TiltingContext:
         Cross-checked against the projective-injective-summand criterion for
         exceptional candidates.
         """
+        summands = self.basic(summands)
         by_annihilator = self._annihilator_is_zero(summands)
-        if self.is_exceptional(summands) and \
-                self.has_all_proj_inj(summands) != by_annihilator:
+        if self.is_exceptional(summands) and self.has_all_proj_inj(
+                BasicExceptional(summands)) != by_annihilator:
             raise TheoremViolation(
                 "annihilator and projective-injective-summand "
                 "faithfulness criteria disagree")
         return by_annihilator
 
     def _annihilator_is_zero(self, summands) -> bool:
-        """is_faithful without the cross-check, for non-exceptional input.
+        """is_faithful without the cross-check, for non-exceptional input,
+        of a basic list (it meets the projective-injectives by identity).
 
         The system of the direct sum stacks the summands' systems, so its
         rank is that of their stacked row bases.  The span of the
@@ -284,15 +296,8 @@ class TiltingContext:
         use; when each of them is a summand, the other summands' rows are
         added to a copy of it.  Rows stop being added at full rank."""
         n = self.algebra_dim()
-        hit, others = set(), []
-        for M in summands:
-            k = next((k for k, P in enumerate(self.proj_inj)
-                      if self._same(M, P)), None)
-            if k is None:
-                others.append(M)
-            else:
-                hit.add(k)
-        if len(hit) < len(self.proj_inj):
+        pis = set(self.proj_inj)
+        if not pis <= set(summands):
             others, span = summands, Echelon(n)
         else:
             if self._pi_span is None:
@@ -300,6 +305,7 @@ class TiltingContext:
                 for P in self.proj_inj:
                     for row in self._annihilator_rows(P):
                         self._pi_span.add(row)
+            others = [M for M in summands if M not in pis]
             span = Echelon(n)
             span.pivots = dict(self._pi_span.pivots)
         for M in others:
@@ -312,9 +318,9 @@ class TiltingContext:
     def sites_outside(self, summands):
         """The sites (x, i), in proj_sites order, whose projective P(x, i)
         is isomorphic to no summand."""
+        kept = set(self.basic(summands))
         return tuple(site for site in self.proj_sites
-                     if not any(self._same(self.projectives[site], s)
-                                for s in summands))
+                     if self.projectives[site] not in kept)
 
     def has_all_proj_inj(self, summands) -> bool:
         return all(i == 0 for _, i in self.sites_outside(summands))
@@ -364,14 +370,12 @@ class TiltingContext:
         self._assert_approximation(summands, homs, reps, composites)
         return [j for j, _ in reps], f
 
-    def _approximation_reps(self, summands, homs, composites=None):
+    def _approximation_reps(self, summands, homs, composites):
         """(j, g) for the chosen g in homs[j] = Hom(M, T_j): a basis of
         Hom(M, T_j) modulo the maps that factor through a radical map into
         T_j, kept in basis order.  The vector of each composite h g with h
         in Hom(T_j2, T_j), j2 != j, is left in composites under (h, g) for
         _assert_approximation."""
-        if composites is None:
-            composites = {}
         reps = []
         for j, T in enumerate(summands):
             V = homs[j]
@@ -398,13 +402,11 @@ class TiltingContext:
                     reps.append((j, g))
         return reps
 
-    def _assert_approximation(self, summands, homs, reps, composites=None):
+    def _assert_approximation(self, summands, homs, reps, composites):
         """Every map M -> summand must factor through the approximation
         (solved exactly, all of Hom(M, T_j) in one system per target).  A
         column h g already built by _approximation_reps is read from
         composites, keyed by (h, g)."""
-        if composites is None:
-            composites = {}
         for j, T in enumerate(summands):
             targets = [t for t in map(_vectorize, homs[j]) if any(t)]
             if not targets:
@@ -429,12 +431,14 @@ class TiltingContext:
         module.
 
         Runs until the cokernel vanishes, an approximation fails to be a
-        monomorphism (ChainStalled outcome), or the step bound; by default
-        the bound is the global dimension horizon.
+        monomorphism (ChainStalled outcome), or the step bound: C_0, ...,
+        C_max_steps are tested for zero.  By default the bound is 2m+2, by
+        which the chain of an exceptional module that has not stalled has
+        reached zero (see the module docstring).
         """
         summands = list(summands)
         if max_steps is None:
-            max_steps = ext_horizon(self.spec)
+            max_steps = ext_horizon(self.spec) + 1
         A = self.regular.module if start is None else start
         chain = ApproximationChain(start=A, steps=[], stalled=None,
                                    completed=False)
@@ -456,22 +460,28 @@ class TiltingContext:
     # -- the chain node by node ----------------------------------------------------
 
     def _nodes_complete(self, starts, ids) -> bool:
-        """Whether the chain of each node in starts reaches zero within 2m+1
-        approximations into add T, T the nodes in ids.
+        """Whether the chain of each node in starts reaches zero within 2m+2
+        approximations into add T, T the exceptional module of the nodes in
+        ids.
 
-        approximation_chain tests for zero before each of its at most 2m+2
-        approximations, so it completes when zero comes within 2m+1 of
-        them.  Approximations are additive, so the chain of a sum does that
+        approximation_chain tests C_0, ..., C_{2m+2} for zero, so it
+        completes when zero comes within 2m+2 approximations.
+        Approximations are additive, so the chain of a sum does that
         exactly when the chain of each summand does: a node's chain
         completes within k approximations when its step is mono and the
-        chain of every node of the cokernel completes within k - 1."""
+        chain of every node of the cokernel completes within k - 1.  A node
+        met after 2m+2 mono steps raises TheoremViolation: every node on
+        the way to it lies in perp T, being a summand of the cokernel of a
+        mono approximation of the node before, so the dimension shift of
+        the module docstring runs along that path and splits its step at
+        depth 2m+1."""
         T = set(ids)
         nodes = self.arq.nodes
         done = {}
 
         def completes(idx, left):
             if left == 0:
-                return False
+                raise _chain_overrun(self.spec, nodes[idx].module)
             key = idx, left
             if key not in done:
                 support = frozenset(j for j in T if L.hom_basis_rep(
@@ -481,8 +491,8 @@ class TiltingContext:
                     completes(c, left - 1) for c in coker)
             return done[key]
 
-        horizon = ext_horizon(self.spec)
-        return all(completes(idx, horizon) for idx in starts)
+        budget = ext_horizon(self.spec) + 1
+        return all(completes(idx, budget) for idx in starts)
 
     def _node_step(self, idx, support):
         """One approximation step of node idx into add of the nodes support,
@@ -593,33 +603,30 @@ class TiltingContext:
         the P(x, i) completes exactly when the chain of the P(x, i) outside
         add T does; only those are coresolved, node by node on the node
         route (_nodes_complete), else by approximation_chain.  The counting
-        shortcut
-        (basic + faithful + pd <= m + rank-many summands) is asserted
-        equivalent whenever its hypotheses hold.
+        criterion, that a basic exceptional module is tilting exactly when
+        it has n(m+1) summands, is asserted on every exceptional input.
         """
         summands = self.basic(summands)
-        n_rank = self.spec.base.n * (self.spec.m + 1)
         if not self.is_exceptional(summands):
             return False
+        summands = BasicExceptional(summands)
         rest = self.sites_outside(summands)
         ids = self.node_ids(summands)
         if ids is None:
             chain = self.approximation_chain(
                 summands, start=L.lproj_sum(self.spec, rest).module)
+            if not chain.completed and chain.stalled is None:
+                raise _chain_overrun(self.spec, chain.steps[-1].source)
             primary = chain.completed
         else:
             primary = self._nodes_complete(
                 [self._site_nodes[site] for site in rest], ids)
-        # faithful: every projective-injective P(x, i), i >= 1, is in add T
-        if (len(summands) == n_rank and self.pd(summands) <= self.spec.m
-                and all(i == 0 for _, i in rest)):
-            if not primary:
-                raise TheoremViolation(
-                    "counting criterion predicts a tilting module but no "
-                    "coresolution was found")
-        if primary and len(summands) != n_rank:
+        n_rank = self.spec.base.n * (self.spec.m + 1)
+        if primary != (len(summands) == n_rank):
             raise TheoremViolation(
-                "a basic tilting module must have rank-many summands")
+                f"counting criterion fails: a basic exceptional module with "
+                f"{len(summands)} summands (rank {n_rank}) is "
+                f"{'' if primary else 'not '}tilting")
         return primary
 
     def bongartz_complement(self, summands):
@@ -636,7 +643,7 @@ class TiltingContext:
         if not self.is_exceptional(summands):
             raise ValueError("complement construction needs an exceptional "
                              "module")
-        summands = _BasicExceptional(summands)
+        summands = BasicExceptional(summands)
         if not self.is_faithful(summands):
             raise ValueError("complement construction needs a faithful module")
         if dynkin_type(self.spec.base) == "kronecker":
@@ -680,19 +687,21 @@ class TiltingContext:
             raise ValueError("representation-finite complement search needs "
                              "an AR quiver")
         n_rank = self.spec.base.n * (self.spec.m + 1)
+        kept = set(summands)
         pool = []
         for node in self.arq.nodes:
             if self.arq.pd(node.idx) > self.spec.m:
                 continue
-            if not any(self._same(node.module, s) for s in summands):
+            if node.module not in kept:
                 pool.append(node.module)
         need = n_rank - len(summands)
         if need < 0:
             raise NoComplementFound("candidate already exceeds the rank")
+        # summands (+ chosen, below) are basic, exceptional and rank-many:
+        # is_tilting's counting check raises unless they are tilting
         if need == 0:
-            if self.is_tilting(summands):
-                return []
-            raise NoComplementFound("rank-many summands but not tilting")
+            self.is_tilting(summands)
+            return []
 
         def fits_summands(c):
             X = pool[c]
@@ -705,14 +714,14 @@ class TiltingContext:
             return (self.ext_vanishes(pool[b], pool[a])
                     and self.ext_vanishes(pool[a], pool[b]))
 
-        # pool holds no module isomorphic to a summand, and the search
-        # checks every pair and self pair both ways, so summands + chosen
-        # is basic and exceptional
+        # pool holds none of the summands, each the module basic() keeps for
+        # its class, and the search checks every pair and self pair both
+        # ways, so summands + chosen is basic and exceptional
         for cand in compatible_sets(len(pool), pair_ok, need, fits_summands):
             if len(cand) == need:
                 chosen = [pool[c] for c in cand]
-                if self.is_tilting(_BasicExceptional(summands + chosen)):
-                    return chosen
+                self.is_tilting(BasicExceptional(summands + chosen))
+                return chosen
         raise NoComplementFound("exhaustive search found no complement")
 
     def verdict(self, summands, want_complement=False):
@@ -724,7 +733,7 @@ class TiltingContext:
         tprime, pi = self.split_candidate(summands)
         exceptional = self.is_exceptional(summands)
         if exceptional:
-            summands = _BasicExceptional(summands)
+            summands = BasicExceptional(summands)
         faithful = self.is_faithful(summands) if exceptional else \
             self._annihilator_is_zero(summands)
         out = {
@@ -745,6 +754,17 @@ class TiltingContext:
             except NoComplementFound as exc:
                 out["complement_error"] = str(exc)
         return out
+
+
+def _chain_overrun(spec, witness):
+    """The violation of a chain of an exceptional module that has neither
+    stalled nor reached zero by C_{2m+2}; witness is C_{2m+2} or a summand
+    of it."""
+    g = ext_horizon(spec)
+    return TheoremViolation(
+        f"the add T-coresolution of an exceptional module has not stalled "
+        f"and has C_{g + 1} != 0, beyond the global dimension {g}",
+        witness=witness)
 
 
 def _dims(spec, dims):

@@ -120,9 +120,17 @@ def test_slice_size_and_shift(a3):
 
 
 def test_consecutive_slices_ordered(a3):
+    """Sigma_{k-1} <= Sigma_k in the set order: each member of Sigma_k lies
+    above some member of Sigma_{k-1}, each member of Sigma_{k-1} below some
+    member of Sigma_k, and no member of Sigma_k precedes a different member
+    of Sigma_{k-1}."""
     arq = ARQuiver(ReplicationSpec(a3, 2))
     for k in range(1, 3):
-        assert arq.set_leq(arq.sigma_slice(k - 1), arq.sigma_slice(k))
+        lower, upper = arq.sigma_slice(k - 1), arq.sigma_slice(k)
+        assert all(any(arq.leq(a, b) for a in lower) for b in upper)
+        assert all(any(arq.leq(a, b) for b in upper) for a in lower)
+        assert not any(arq.leq(b, a) and a != b
+                       for a in lower for b in upper)
 
 
 def test_pd_examples(arq_a2_m1, nodes_a2_m1):

@@ -58,24 +58,31 @@ def test_orbit_terms_across_degrees(a2):
     assert c2.cluster_ext(ClusterObject("module", pb, 0), shift_b, 2) == 0
 
 
+def _tilting_sets(cctx):
+    return {frozenset(t) for t in cctx.enumerate_tilting_objects()}
+
+
 def test_level_zero_projectives_tilting(cctx, spec_a2_m1):
     objs = [ClusterObject("module",
                           ind_index(cctx, {"a": 1, "b": 0}), 0),
             ClusterObject("module",
                           ind_index(cctx, {"a": 1, "b": 1}), 0)]
-    assert cctx.is_tilting_object(objs)
+    assert frozenset(objs) in _tilting_sets(cctx)
 
 
 def test_simples_pair_not_tilting(cctx):
     objs = [ClusterObject("module", ind_index(cctx, {"a": 1, "b": 0}), 0),
             ClusterObject("module", ind_index(cctx, {"a": 0, "b": 1}), 0)]
-    assert not cctx.is_tilting_object(objs)
+    assert not cctx.is_exceptional_object(objs)
+    assert frozenset(objs) not in _tilting_sets(cctx)
 
 
 def test_singletons_exceptional_not_tilting(cctx):
+    tilting = _tilting_sets(cctx)
+    assert all(len(t) == cctx.spec.base.n for t in tilting)
     for o in cctx.objects():
         assert cctx.is_exceptional_object([o])
-        assert not cctx.is_tilting_object([o])
+        assert frozenset([o]) not in tilting
 
 
 def test_enumerate_a1(a1):
@@ -136,10 +143,13 @@ def test_bijection_a1(a1):
     assert rep["violations"] == []
 
 
-def test_compatibility_dot(cctx):
-    dot = cctx.compatibility_dot()
-    assert dot.startswith("graph cluster_compatibility")
-    assert dot.count("--") >= 5
+def test_compatibility_pairs(cctx):
+    """A2 with m = 1: the five objects' compatibility graph is the pentagon
+    of the cluster complex."""
+    objs, table = cctx.compatibility_pairs()
+    assert len(objs) == 5 and sum(table.values()) == 5
+    assert all(sum(ok for pair, ok in table.items() if k in pair) == 2
+               for k in range(5))
 
 
 def test_verify_bijection_builds_the_pair_table_once(spec_a2_m1,

@@ -184,7 +184,7 @@ def test_serialization_strings():
     m = QMatrix(1, 2, [["-3/4", 2]])
     lists = m.to_lists()
     assert lists == [["-3/4", "2"]]
-    back = QMatrix.from_lists(1, 2, lists)
+    back = QMatrix(1, 2, lists)
     assert back == m
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,8 @@ from replhom.arquiver import ARQuiver
 from replhom.errors import ClosureIncomplete, TheoremViolation
 from replhom.linalg import NoSolution, QMatrix
 from replhom.quiver import ReplicationSpec
-from replhom.tilting import (TiltingContext, _stack, compatible_sets,
+from replhom.tilting import (BasicExceptional, StallInfo, TiltingContext,
+                             _stack, compatible_sets,
                              sample_faithful_exceptional)
 from replhom import layered as L
 from replhom.repa import AMorphism
@@ -79,11 +81,12 @@ def test_dropping_a_rep_fails_the_approximation_check(ctx, mods):
     dropped = 0
     for M in mods.values():
         homs = [L.hom_basis_rep(M, X) for X in T]
-        reps = ctx._approximation_reps(T, homs)
-        ctx._assert_approximation(T, homs, reps)
+        reps = ctx._approximation_reps(T, homs, {})
+        ctx._assert_approximation(T, homs, reps, {})
         for k in range(len(reps)):
             with pytest.raises((NoSolution, TheoremViolation)):
-                ctx._assert_approximation(T, homs, reps[:k] + reps[k + 1:])
+                ctx._assert_approximation(T, homs, reps[:k] + reps[k + 1:],
+                                          {})
             dropped += 1
     assert dropped >= len(T)
 
@@ -121,7 +124,8 @@ def test_stacked_approximation_is_the_sum_of_inclusions(base, m, request):
     compared = 0
     for node in arq.nodes:
         M = node.module
-        reps = tctx._approximation_reps(T, [L.hom_basis_rep(M, X) for X in T])
+        reps = tctx._approximation_reps(
+            T, [L.hom_basis_rep(M, X) for X in T], {})
         if not reps:
             continue
         targets = [T[j] for j, _ in reps]
@@ -292,10 +296,10 @@ def _public_verdict(ctx, summands):
     return out
 
 
-def _counted(owner, names, patch=setattr):
+def _counted(owner, names, patch=setattr, counts=None):
     """Count the calls of owner's attributes names, each replaced through
-    patch by a counting wrapper."""
-    counts = Counter()
+    patch by a counting wrapper, in counts (a new Counter by default)."""
+    counts = Counter() if counts is None else counts
     for name in names:
         def wrapped(*args, _f=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -322,12 +326,12 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
     # the verdict equals the one the public methods give, with fewer Ext
     # and isomorphism questions on every exceptional candidate of a
     # complement search; a candidate with a repeated summand stays basic.
-    # Each route runs on a fresh context.  A context with an AR quiver
-    # keeps the node of each module it meets, so on the node route the
-    # isomorphism questions are counted where the context asks them
-    # (_node_id); on the module route (Kronecker) the layered ones are.
-    asked = _counted(TiltingContext, ("ext_vanishes", "_node_id"),
-                     monkeypatch.setattr)
+    # Each route runs on a fresh context.  On the node route the
+    # isomorphism questions are counted where the context asks them, the
+    # AR quiver's node lookups; on the module route (Kronecker) the
+    # layered ones are.
+    asked = _counted(TiltingContext, ("ext_vanishes",), monkeypatch.setattr)
+    _counted(ARQuiver, ("_lookup",), monkeypatch.setattr, asked)
     work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
     pis = [M for M in mods.values() if L.is_proj_inj(M)]
     rest = [M for M in mods.values() if not L.is_proj_inj(M)]
@@ -339,7 +343,7 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
         assert got == want
         if "complement" in got:
             assert got_asked["ext_vanishes"] < public_asked["ext_vanishes"]
-            assert got_asked["_node_id"] < public_asked["_node_id"]
+            assert got_asked["_lookup"] < public_asked["_lookup"]
             assert got_work["ext_dim"] < public_work["ext_dim"]
             compared += 1
     assert compared >= 5
@@ -349,9 +353,77 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
         (want, _, public_work), (got, got_asked, got_work) = _route_counts(
             lambda: TiltingContext(kspec), cand + cand[-1:], asked, work)
         assert got == want and got["complement_verified"]
-        assert "_node_id" not in got_asked
+        assert "_lookup" not in got_asked
         assert got_work["ext_dim"] < public_work["ext_dim"]
         assert got_work["is_iso_rep"] < public_work["is_iso_rep"]
+
+
+def test_basic_keeps_one_module_per_class(spec_a2_m1, arq_a2_m1, mods):
+    """With an AR quiver basic() gives every summand, a copy of a node or a
+    summand of a direct sum of nodes, as its node's own module, and the
+    context's projectives are the projective nodes' modules.  Without one,
+    a copy of a projective becomes the context's P(x, i)."""
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
+    for site, P in tctx.projectives.items():
+        node = arq_a2_m1.nodes[tctx._site_nodes[site]]
+        assert node.proj_site == site and P is node.module
+    copies = [L.LayeredModule.from_dict(spec_a2_m1, M.to_dict())
+              for M in mods.values()]
+    summed = L.layered_direct_sum(spec_a2_m1, [mods["a1"], mods["b0"]])
+    kept = tctx.basic([summed] + copies + copies)
+    assert {id(K) for K in kept[:2]} == {id(mods["a1"]), id(mods["b0"])}
+    assert len(kept) == len(mods)
+    assert {id(K) for K in kept} == {id(M) for M in mods.values()}
+
+    bare = TiltingContext(spec_a2_m1)
+    copies = [L.LayeredModule.from_dict(spec_a2_m1, P.to_dict())
+              for P in bare.projectives.values()]
+    assert all(K is P for K, P in zip(bare.basic(copies + copies),
+                                      bare.projectives.values()))
+
+
+def test_public_methods_read_a_non_basic_list(spec_a2_m1, arq_a2_m1, mods):
+    """On A2 (b -> a) with m = 1, the regular module given as
+    [P(a,1) + P(b,1), P(a,0), P(b,0)] is faithful and holds every
+    projective: is_faithful, sites_outside and has_all_proj_inj make the
+    list basic first, and agree with the verdict."""
+    tctx = TiltingContext(spec_a2_m1, arq=arq_a2_m1)
+    regular = [L.layered_direct_sum(spec_a2_m1, tctx.proj_inj), mods["a0"],
+               mods["b0/a0"]]
+    assert tctx.is_faithful(regular)
+    assert tctx.sites_outside(regular) == ()
+    assert tctx.has_all_proj_inj(regular)
+    verdict = tctx.verdict(regular)
+    assert verdict["faithful"] and verdict["tilting"]
+
+
+@pytest.mark.parametrize("base,m,stride", [("a3", 1, 1), ("d4", 1, 10)])
+def test_bijection_candidates_are_basic_and_exceptional(base, m, stride,
+                                                       request):
+    """verify_bijection passes each candidate to is_tilting marked basic and
+    exceptional, with no check of its own: every stride-th of them is
+    exceptional and basic as a plain list."""
+    from replhom.cluster import verify_bijection
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    cands = []
+    is_tilting = tctx.is_tilting
+
+    def recorded(summands):
+        cands.append(summands)
+        return is_tilting(summands)
+
+    tctx.is_tilting = recorded
+    report = verify_bijection(spec, arq=arq, tctx=tctx)
+    assert report["violations"] == []
+    assert len(cands) == report["module_side_count"] > 0
+    checked = TiltingContext(spec, arq=arq)
+    for cand in cands[::stride]:
+        assert isinstance(cand, BasicExceptional)
+        plain = list(cand)
+        assert checked.is_exceptional(plain)
+        assert checked.basic(plain) == plain
 
 
 # -- the compatible-set enumerator ---------------------------------------------
@@ -485,13 +557,17 @@ def _module_step(tctx, idx, support):
                          for X in L.decompose_rep(coker)}))
 
 
-@pytest.mark.parametrize("base,m", [("a2", 1), ("a3", 1)])
+@pytest.mark.parametrize("base,m", [("a2", 1), ("a2", 2), ("a3", 1)])
 def test_reduced_chain_agrees_with_the_full_chain(base, m, request):
+    """Every compatible set: with is_tilting's counting check, a set is
+    tilting exactly when it has rank-many summands.  A3 with m = 1 has nine
+    tilting sets of pd 3 = 2m + 1, whose chains reach zero at C_4."""
     seen = _reduced_chain_cases(request.getfixturevalue(base), m)
     assert seen["empty start"] == 1    # the regular module itself
     assert seen["projective-injective in start"] > 0
     assert seen["layer-0 start"] > 0
-    assert seen["tilting"] == {"a2": 9, "a3": 43}[base]
+    assert seen["tilting"] == {("a2", 1): 9, ("a2", 2): 22,
+                               ("a3", 1): 52}[base, m]
 
 
 def test_reduced_chain_agrees_on_a3_m2_sample(a3):
@@ -535,7 +611,7 @@ def test_reduced_chain_agrees_with_the_full_chain_d4_m1(d4):
     assert seen["steps"] > seen["stalled steps"] > 0
     assert seen["projective-injective in start"] > 0
     assert seen["layer-0 start"] > 0
-    assert seen["tilting"] == 336
+    assert seen["tilting"] == 567
 
 
 def test_reduced_chain_start_sites(ctx, mods):
@@ -586,21 +662,63 @@ def test_counting_criterion_catches_a_chain_that_does_not_complete(
 
 def test_counting_criterion_catches_a_module_chain_that_does_not_complete(
         spec_a2_m1, mods, monkeypatch):
-    # module route (no AR quiver): the chain is reported incomplete
+    # module route (no AR quiver): the chain is reported stalled
     tctx = TiltingContext(spec_a2_m1)
     T = _counting_criterion_case(mods)
     assert tctx.node_ids(T) is None
     real = tctx.approximation_chain
 
-    def not_completed(summands, max_steps=None, start=None):
+    def stalled(summands, max_steps=None, start=None):
         chain = real(summands, max_steps, start)
         assert chain.completed
         chain.completed = False
+        chain.stalled = StallInfo(0, chain.start, tctx, summands)
         return chain
 
-    monkeypatch.setattr(tctx, "approximation_chain", not_completed)
+    monkeypatch.setattr(tctx, "approximation_chain", stalled)
     with pytest.raises(TheoremViolation, match="counting criterion"):
         tctx.is_tilting(T)
+
+
+@pytest.mark.parametrize("route", ["node", "module"])
+def test_a_chain_that_neither_stalls_nor_ends_is_a_violation(
+        spec_a2_m1, arq_a2_m1, nodes_a2_m1, mods, monkeypatch, route):
+    """The chain of an exceptional module that has not stalled reaches zero
+    by C_{2m+2}, gl.dim A^(m) being 2m + 1.  With the global dimension
+    taken as 0, the bound is C_1, and the chain of this tilting module,
+    whose C_1 holds the node a1/b0, must raise rather than answer "not
+    tilting" on either route."""
+    tctx = TiltingContext(spec_a2_m1,
+                          arq=arq_a2_m1 if route == "node" else None)
+    T = _counting_criterion_case(mods)
+    assert tctx.is_tilting(T)
+    monkeypatch.setattr("replhom.tilting.ext_horizon", lambda spec: 0)
+    tctx = TiltingContext(spec_a2_m1,
+                          arq=arq_a2_m1 if route == "node" else None)
+    with pytest.raises(TheoremViolation, match="has not stalled") as exc:
+        tctx.is_tilting(T)
+    assert any(L.is_iso_rep(X, mods["a1/b0"])
+               for X in L.decompose_rep(exc.value.witness))
+
+
+def test_pd_2m_plus_1_tilting_module_is_tilting(tmp_path, capsys):
+    """On A3 (1 -> 2 -> 3) with m = 1 this exceptional module of pd 3 has
+    rank-many summands and a chain that reaches zero at C_4: tilting."""
+    from replhom.cli import main
+    quiver = tmp_path / "a3.json"
+    quiver.write_text(json.dumps({
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "1", "tgt": "2"},
+                   {"id": "b", "src": "2", "tgt": "3"}]}))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"summands": ["n0", "n1", "n3", "n4", "n5",
+                                             "n6"]}))
+    assert main(["tilt-check", str(cand), "--quiver", str(quiver),
+                 "--m", "1"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict == {"exceptional": True, "faithful": True, "pd": 3,
+                       "projective_injective_summands": 3, "summands": 6,
+                       "tilting": True}
 
 
 def test_module_route_serves_kronecker_and_non_node_summands(
