@@ -9,7 +9,10 @@ each injective must split into the knitted arrows.  On top of the quiver
 sit the path order, one memoized cosyzygy per node, and on node ids read
 from it: the cosyzygy slices, projective dimension with its
 position/witness cross-checks, the left part that serves as the cluster
-fundamental domain, and the commutation and syzygy-duality suites.
+fundamental domain, and the commutation and syzygy-duality suites.  Two
+things are made on first use only, never by the build: dim Hom between any
+two nodes, counted along the meshes (hom, by quiver.mesh_hom), and the
+identity map from a node's own module to its id (node_id).
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import layered as L
 from .errors import ClosureIncomplete, NotInDomain, TheoremViolation
-from .quiver import ReplicationSpec, knit, knit_ind
+from .quiver import ReplicationSpec, knit, mesh_hom
 
 
 @dataclass
@@ -85,6 +89,15 @@ class ARQuiver:
             raise ClosureIncomplete(
                 "module missing from the tau-closure node set", witness=module)
         return node
+
+    @cached_property
+    def _ids(self):
+        return {id(node.module): node.idx for node in self.nodes}
+
+    def node_id(self, module):
+        """The id of the node whose module is module itself (not a copy),
+        or None; an identity test, no isomorphism test."""
+        return self._ids.get(id(module))
 
     # -- construction ----------------------------------------------------------
 
@@ -195,6 +208,14 @@ class ARQuiver:
         i = node.idx if isinstance(node, Node) else node
         return [n.idx for n in self.nodes if self.leq(n.idx, i)]
 
+    @cached_property
+    def hom(self) -> list:
+        """hom[a][b] = dim Hom(node a, node b), counted along the meshes
+        (quiver.mesh_hom) on first use.  The node route reads it beside the
+        Hom bases it builds and checks the two against each other."""
+        return mesh_hom(self.topo_order, self.in_arrows,
+                        [node.tau for node in self.nodes])
+
     # -- cosyzygies, slices and projective dimension ----------------------------
 
     def _cosyzygy(self, i) -> Cosyzygy:
@@ -247,12 +268,14 @@ class ARQuiver:
         return self._pd[i]
 
     def ind_a_nodes(self):
-        """Level-0 nodes in the order of ind A: for each knitted dimension
-        vector, the one node with it at layer 0 and zeros elsewhere."""
+        """Level-0 nodes in the order of ind A (quiver.knit_ind's: by total
+        dimension, then dimension vector): for each dimension vector of
+        knit(q, 0), the one node with it at layer 0 and zeros elsewhere."""
         if self._ind_a is None:
             zeros = (0,) * (self.spec.base.n * self.spec.m)
-            hits = [self._by_dims.get(dims + zeros)
-                    for dims in knit_ind(self.spec.base).dims]
+            ind = sorted(knit(self.spec.base, 0).dims,
+                         key=lambda d: (sum(d), d))
+            hits = [self._by_dims.get(dims + zeros) for dims in ind]
             if None in hits:
                 raise ClosureIncomplete("level-0 part does not match ind A")
             self._ind_a = hits

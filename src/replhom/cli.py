@@ -96,9 +96,14 @@ def _resolve_candidate(spec, arq, doc):
     if not isinstance(doc, dict):
         raise QuiverError("candidate file must hold a JSON object")
     if "summands" in doc:
+        idents = doc["summands"]
+        if not isinstance(idents, list) or not all(
+                isinstance(ident, str) for ident in idents):
+            raise QuiverError("'summands' must be a JSON list of node id "
+                              "strings")
         by_id = {f"n{n.idx}": n for n in arq.nodes}
         mods = []
-        for ident in doc["summands"]:
+        for ident in idents:
             if ident not in by_id:
                 raise QuiverError(f"unknown node id {ident!r}")
             mods.append(by_id[ident].module)

@@ -191,12 +191,11 @@ def verify_bijection(spec: ReplicationSpec, arq=None, tctx=None, cctx=None):
     m = spec.m
 
     pool = arq.left_part_non_proj_inj()
-    mods = [arq.nodes[i].module for i in pool]
 
     def pair_ok(a, b):
         if a == b:
-            return tctx.ext_vanishes(mods[a], mods[a])
-        return tctx.compatible(mods[a], mods[b])
+            return tctx.node_ext_vanishes(pool[a], pool[a])
+        return tctx.node_compatible(pool[a], pool[b])
 
     mod_sets = {size: [] for size in range(1, n + 1)}
     for cand in compatible_sets(len(pool), pair_ok, n):

@@ -19,7 +19,7 @@ __all__ = [
     "Quiver", "ReplicationSpec", "QuiverError", "CycleFound", "Disconnected",
     "validate_hereditary", "grothendieck_rank", "replicated_vertex_set",
     "load_quiver", "quiver_from_dict", "dynkin_type", "knit", "KnitTable",
-    "knit_ind", "IndTable", "LVertex",
+    "knit_ind", "IndTable", "LVertex", "mesh_hom",
 ]
 
 
@@ -410,16 +410,11 @@ def knit_ind(q: Quiver) -> IndTable:
     """Ind A of a Dynkin quiver, knit(q, 0) ordered like repa.enumerate_ind:
     by total dimension, then dimension vector.
 
-    Hom is counted along the meshes in knit's topological order: Hom(X, Y)
-    is the sum of Hom(X, E) over the arrows E -> Y, minus Hom(X, tau Y),
-    plus [X = Y].
+    Hom is counted along the meshes (mesh_hom) in knit's topological
+    order.
     """
     t = knit(q, 0)
-    hom = [[0] * len(t.dims) for _ in t.dims]
-    for b, into in enumerate(t.in_arrows):
-        for a, row in enumerate(hom):
-            row[b] = (sum(mult * row[e] for e, mult in into) + (a == b)
-                      - (0 if t.tau[b] is None else row[t.tau[b]]))
+    hom = mesh_hom(range(len(t.dims)), t.in_arrows, t.tau)
     order = sorted(range(len(t.dims)), key=lambda k: (sum(t.dims[k]),
                                                       t.dims[k]))
     rank = {k: r for r, k in enumerate(order)}
@@ -429,3 +424,30 @@ def knit_ind(q: Quiver) -> IndTable:
         hom=[[hom[a][b] for b in order] for a in order],
         proj={x: rank[t.proj[(x, 0)]] for x in q.vertices},
         inj={x: rank[t.inj[(x, 0)]] for x in q.vertices})
+
+
+def mesh_hom(order, in_arrows, tau) -> list:
+    """dim Hom between the nodes 0..N-1 of the AR quiver of a
+    representation-directed algebra, counted along the meshes: hom[a][b] =
+    dim Hom(a, b).
+
+    order is a topological order of the nodes, in_arrows[b] the (node,
+    multiplicity) pairs of the arrows into b and tau[b] its translate (None
+    for a projective).  Hom(X, -) keeps the AR sequence 0 -> tau Y -> E ->
+    Y -> 0 (rad Y -> Y for a projective Y) left exact, and as E -> Y is
+    right almost split and End Y = k, the cokernel of Hom(X, E) -> Hom(X, Y)
+    is k for X = Y and 0 otherwise.  So Hom(X, Y) is the sum of Hom(X, E)
+    over the arrows E -> Y, minus Hom(X, tau Y), plus [X = Y].  Hom(X, Y) =
+    0 unless X <= Y in path order, so a row starts at its own node.
+    """
+    order = list(order)
+    hom = [None] * len(order)
+    for s, a in enumerate(order):
+        row = [0] * len(order)
+        row[a] = 1
+        for b in order[s + 1:]:
+            t = tau[b]
+            row[b] = sum(mult * row[e] for e, mult in in_arrows[b]) - (
+                0 if t is None else row[t])
+        hom[a] = row
+    return hom

@@ -15,6 +15,20 @@ representation-infinite base keeps the chain of the whole regular module.
 On a representation-finite base the complement falls back to exhaustive
 search over the AR quiver.
 
+Between two AR nodes X and Y most Ext questions are read off the path
+order: Ext^{>=1}(X, Y) = 0 when X is projective or Y is not <= tau X
+(path_ext_zero), and only the other pairs compute Ext groups.  A^(m) over a
+Dynkin base is representation-directed, so Hom(U, V) != 0 between
+indecomposables needs a path U -> ... -> V of the AR quiver, and tau V < V.
+For i = 1, Ext^1(X, Y) = D Hom-bar(Y, tau X) (Auslander-Reiten-Smalo
+IV.2.13) needs X non-projective and Y <= tau X.  For i >= 2 shift along the
+minimal injective coresolution 0 -> Y -> I^0 -> Sigma Y -> 0: Ext^i(X, Y) =
+Ext^{i-1}(X, Sigma Y).  Every summand Z of Sigma Y has Ext^1(Z, Y) != 0, the
+sequence pulled back to Z being non-split as I^0 is an essential extension
+of Y, so Y <= tau Z < Z.  By induction every summand Z of Sigma^{i-1} Y has
+Y < Z, and Ext^1(X, Z) != 0 needs Z <= tau X, so again Y <= tau X (Ringel,
+LNM 1099, 2.4).  No node X has X <= tau X, so every self pair is decided.
+
 Each fact about a candidate is decided once.  basic() keeps one module per
 isomorphism class: with an AR quiver the class's node module (a summand
 isomorphic to no node is split into its indecomposable summands, each a
@@ -30,18 +44,20 @@ base, or a context without an AR quiver, whose summands must be
 indecomposable) it takes the module route.  On the node route the
 coresolution is taken node by node.  The minimal left approximation of an
 indecomposable X into add T depends only on X and on the summands T_j with
-Hom(X, T_j) != 0, so one step is computed, verified and memoized per
-(node, that Hom-support): stalled, or the AR nodes of its cokernel.  A step
-builds no module.  Its approximation f: X -> T0 is mono when the stacked
-component blocks have rank dim X at every (layer, vertex), and the
-multiplicity of a node Y in C = coker f is read by Auslander's formula
-dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), E the middle term of the
-AR sequence ending in Y (rad Y, with no tau term, for a projective Y), from
-the ranks of Hom(T0, N) -> Hom(X, N) (Auslander-Reiten-Smalo IV.4).  As
-approximations are additive, the chain of the projectives outside add T
-completes exactly when every one of them reaches zero within 2m+2 steps.
-The module route builds the chain out of cokernel modules; the tests use
-it as the oracle of the node route.
+Hom(X, T_j) != 0, so one step is computed, verified and memoized per (node,
+that Hom-support): stalled, or the AR nodes of its cokernel.  The
+Hom-support is read from the AR quiver's mesh Hom table (arq.hom), and every
+Hom basis a step builds between nodes must have the table's dimension, else
+ClosureIncomplete names the pair.  A step builds no module.  Its
+approximation f: X -> T0 is mono when the stacked component blocks have rank
+dim X at every (layer, vertex), and the multiplicity of a node Y in C =
+coker f is read by Auslander's formula dim Hom(C, Y) - dim Hom(C, E) + dim
+Hom(C, tau Y), E the middle term of the AR sequence ending in Y (rad Y, with
+no tau term, for a projective Y), from the ranks of Hom(T0, N) -> Hom(X, N)
+(Auslander-Reiten-Smalo IV.4).  As approximations are additive, the chain of
+the projectives outside add T completes exactly when every one of them
+reaches zero within 2m+2 steps.  The module route builds the chain out of
+cokernel modules; the tests use it as the oracle of the node route.
 
 Both routes test C_0, ..., C_{2m+2} for zero, and for an exceptional T
 that bound suffices.  A left approximation C_k -> T_k makes Hom(T_k, T) ->
@@ -187,15 +203,54 @@ class TiltingContext:
 
     # -- exceptionality ---------------------------------------------------------
 
-    def ext_vanishes(self, X, Y) -> bool:
+    def _degrees_vanish(self, pairs) -> bool:
+        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1 and every (X, Y) in pairs,
+        tried degree by degree."""
         return all(L.ext_dim(X, Y, i) == 0
-                   for i in range(1, ext_horizon(self.spec) + 1))
+                   for i in range(1, ext_horizon(self.spec) + 1)
+                   for X, Y in pairs)
+
+    def path_ext_zero(self, x, y) -> bool:
+        """Whether the path order shows Ext^{>=1}(node x, node y) = 0: x is
+        projective, or y is not <= tau x (see the module docstring)."""
+        t = self.arq.nodes[x].tau
+        return t is None or not self.arq.leq(y, t)
+
+    def node_ext_vanishes(self, x, y) -> bool:
+        """ext_vanishes on node ids."""
+        nodes = self.arq.nodes
+        return self.path_ext_zero(x, y) or self._degrees_vanish(
+            [(nodes[x].module, nodes[y].module)])
+
+    def node_compatible(self, x, y) -> bool:
+        """compatible on node ids: the path order first, then the degrees of
+        the directions it leaves open."""
+        nodes = self.arq.nodes
+        return self._degrees_vanish([(nodes[a].module, nodes[b].module)
+                                     for a, b in ((x, y), (y, x))
+                                     if not self.path_ext_zero(a, b)])
+
+    def _pair_ids(self, X, Y):
+        """The node ids of X and Y when both are node modules, else None."""
+        if self.arq is None:
+            return None
+        x, y = self.arq.node_id(X), self.arq.node_id(Y)
+        return None if x is None or y is None else (x, y)
+
+    def ext_vanishes(self, X, Y) -> bool:
+        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1."""
+        ids = self._pair_ids(X, Y)
+        if ids is not None:
+            return self.node_ext_vanishes(*ids)
+        return self._degrees_vanish([(X, Y)])
 
     def compatible(self, X, Y) -> bool:
         """Ext^i vanishes both ways for 1 <= i <= 2m+1, tried degree by
         degree."""
-        return all(L.ext_dim(X, Y, i) == 0 and L.ext_dim(Y, X, i) == 0
-                   for i in range(1, ext_horizon(self.spec) + 1))
+        ids = self._pair_ids(X, Y)
+        if ids is not None:
+            return self.node_compatible(*ids)
+        return self._degrees_vanish([(X, Y), (Y, X)])
 
     def is_exceptional(self, summands) -> bool:
         if isinstance(summands, BasicExceptional):
@@ -476,7 +531,7 @@ class TiltingContext:
         the module docstring runs along that path and splits its step at
         depth 2m+1."""
         T = set(ids)
-        nodes = self.arq.nodes
+        nodes, hom = self.arq.nodes, self.arq.hom
         done = {}
 
         def completes(idx, left):
@@ -484,8 +539,7 @@ class TiltingContext:
                 raise _chain_overrun(self.spec, nodes[idx].module)
             key = idx, left
             if key not in done:
-                support = frozenset(j for j in T if L.hom_basis_rep(
-                    nodes[idx].module, nodes[j].module))
+                support = frozenset(j for j in T if hom[idx][j])
                 coker = self._node_step(idx, support)
                 done[key] = coker is not None and all(
                     completes(c, left - 1) for c in coker)
@@ -513,7 +567,7 @@ class TiltingContext:
         X = nodes[idx].module
         targets = sorted(support)
         summands = [nodes[j].module for j in targets]
-        homs = [L.hom_basis_rep(X, T) for T in summands]
+        homs = [self._node_hom_basis(idx, j) for j in targets]
         composites = {}
         reps = self._approximation_reps(summands, homs, composites)
         out = None
@@ -524,6 +578,19 @@ class TiltingContext:
                     idx, [(targets[j], g) for j, g in reps], composites)
         self._steps[key] = out
         return out
+
+    def _node_hom_basis(self, a, b):
+        """The Hom basis of node a into node b, checked against the mesh
+        table arq.hom: a basis of another size raises ClosureIncomplete
+        naming the pair."""
+        nodes = self.arq.nodes
+        basis = L.hom_basis_rep(nodes[a].module, nodes[b].module)
+        if len(basis) != self.arq.hom[a][b]:
+            raise ClosureIncomplete(
+                f"Hom(n{a}, n{b}) has a basis of {len(basis)} maps, the mesh "
+                f"table dimension {self.arq.hom[a][b]}",
+                witness=nodes[a].module)
+        return basis
 
     def _cokernel_nodes(self, idx, used, composites):
         """The sorted AR nodes of the cokernel C of a mono step f at node
@@ -536,11 +603,11 @@ class TiltingContext:
         dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), with E the sum of
         the in-arrows of Y (the middle term of the AR sequence ending in Y,
         or rad Y when Y is projective, which has no tau term).  A summand Y
-        of C is a quotient of T0, so some t_k <= Y in path order, and dim Y
-        <= dim C: only those Y are tested.  The multiplicities must be >= 0
-        and add up to dim C, else ClosureIncomplete names the step."""
+        of C is a quotient of T0, so Hom(T0, Y) != 0 in the mesh table, and
+        dim Y <= dim C: only those Y are tested.  The multiplicities must be
+        >= 0 and add up to dim C, else ClosureIncomplete names the step."""
         arq = self.arq
-        nodes = arq.nodes
+        nodes, table = arq.nodes, arq.hom
         starts = {t for t, _ in used}
         left = [-x for x in nodes[idx].module.dim_vector()]
         for t, _ in used:
@@ -551,12 +618,11 @@ class TiltingContext:
             """dim Hom(C, node n)."""
             d = hom_dims.get(n)
             if d is None:
-                N = nodes[n].module
                 span, total = None, 0
                 for t, g in used:
-                    if not arq.leq(t, n):
-                        continue    # Hom(T_k, N) = 0 off the path order
-                    for h in L.hom_basis_rep(nodes[t].module, N):
+                    if not table[t][n]:
+                        continue
+                    for h in self._node_hom_basis(t, n):
                         vec = composites.get((h, g))
                         if vec is None:
                             vec = _composite_vector(h, g)
@@ -572,7 +638,7 @@ class TiltingContext:
             y = node.idx
             dims = node.module.dim_vector()
             if any(a > b for a, b in zip(dims, left)) or not any(
-                    arq.leq(t, y) for t in starts):
+                    table[t][y] for t in starts):
                 continue
             mult = hom(y) - sum(mu * hom(e) for e, mu in arq.in_arrows[y])
             if not node.is_projective:
@@ -687,13 +753,6 @@ class TiltingContext:
             raise ValueError("representation-finite complement search needs "
                              "an AR quiver")
         n_rank = self.spec.base.n * (self.spec.m + 1)
-        kept = set(summands)
-        pool = []
-        for node in self.arq.nodes:
-            if self.arq.pd(node.idx) > self.spec.m:
-                continue
-            if node.module not in kept:
-                pool.append(node.module)
         need = n_rank - len(summands)
         if need < 0:
             raise NoComplementFound("candidate already exceeds the rank")
@@ -702,24 +761,27 @@ class TiltingContext:
         if need == 0:
             self.is_tilting(summands)
             return []
+        # basic() keeps node modules, so the summands are nodes by identity
+        ids = [self.arq.node_id(M) for M in summands]
+        kept = set(ids)
+        pool = [node.idx for node in self.arq.nodes
+                if self.arq.pd(node.idx) <= self.spec.m
+                and node.idx not in kept]
 
         def fits_summands(c):
-            X = pool[c]
-            return all(self.ext_vanishes(X, Y) and self.ext_vanishes(Y, X)
-                       for Y in summands)
+            return all(self.node_compatible(pool[c], y) for y in ids)
 
         def pair_ok(a, b):
             if a == b:
-                return self.ext_vanishes(pool[a], pool[a])
-            return (self.ext_vanishes(pool[b], pool[a])
-                    and self.ext_vanishes(pool[a], pool[b]))
+                return self.node_ext_vanishes(pool[a], pool[a])
+            return self.node_compatible(pool[a], pool[b])
 
-        # pool holds none of the summands, each the module basic() keeps for
-        # its class, and the search checks every pair and self pair both
-        # ways, so summands + chosen is basic and exceptional
+        # pool holds none of the summands and the search checks every pair
+        # and self pair both ways, so summands + chosen is basic and
+        # exceptional
         for cand in compatible_sets(len(pool), pair_ok, need, fits_summands):
             if len(cand) == need:
-                chosen = [pool[c] for c in cand]
+                chosen = [self.arq.nodes[pool[c]].module for c in cand]
                 self.is_tilting(BasicExceptional(summands + chosen))
                 return chosen
         raise NoComplementFound("exhaustive search found no complement")

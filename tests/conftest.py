@@ -32,6 +32,13 @@ def d4():
 
 
 @pytest.fixture(scope="session")
+def e6():
+    return Quiver(["1", "2", "3", "4", "5", "6"],
+                  [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                   ("d", "4", "5"), ("e", "6", "3")])
+
+
+@pytest.fixture(scope="session")
 def two_sinks():
     """The three-vertex source quiver b -> a, b -> c."""
     return Quiver(["a", "b", "c"], [("alpha", "b", "a"), ("beta", "b", "c")])

@@ -407,6 +407,30 @@ def test_ar_quiver_matches_knitting(request, name, m):
                    if n.tau is not None}
 
 
+# -- dim Hom counted along the meshes -----------------------------------------
+
+@pytest.mark.parametrize("name,m", [
+    ("a3", 1), ("a3", 2), ("d4", 1), ("d4", 2), ("a4", 2),
+    pytest.param("e6", 1, marks=pytest.mark.slow)])
+def test_mesh_hom_table_matches_the_hom_bases(request, name, m):
+    """arq.hom is counted on first use, not by the build, and gives the size
+    of the Hom basis on every ordered pair of nodes."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    assert "hom" not in vars(arq)
+    for x in arq.nodes:
+        for y in arq.nodes:
+            assert arq.hom[x.idx][y.idx] == len(
+                L.hom_basis_rep(x.module, y.module)), (x.idx, y.idx)
+
+
+def test_node_id_is_an_identity_test(arq_a2_m1):
+    for node in arq_a2_m1.nodes:
+        assert arq_a2_m1.node_id(node.module) == node.idx
+        copy = L.LayeredModule.from_dict(arq_a2_m1.spec, node.module.to_dict())
+        assert arq_a2_m1.node_id(copy) is None
+        assert arq_a2_m1.find_node(copy) is node
+
+
 # -- the build checks every module against the knitted table ------------------
 
 def _corrupted_build(monkeypatch, spec, corrupt):

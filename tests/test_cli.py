@@ -144,6 +144,19 @@ def test_tilt_check_unknown_id(a2_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("summands", [None, [["n0"]], "n0", {"n0": 1}])
+def test_tilt_check_summands_must_be_a_list_of_ids(a2_file, tmp_path, capsys,
+                                                   summands):
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"summands": summands}))
+    code, out, err = run(capsys, "tilt-check", str(cand), "--quiver",
+                         a2_file, "--m", "1")
+    assert code == 2 and out == ""
+    detail = json.loads(err)
+    assert detail["error"] == "QuiverError"
+    assert "summands" in detail["detail"]
+
+
 def test_verify_passes(a2_file, capsys):
     code, stdout, _ = run(capsys, "verify", "--quiver", a2_file, "--m", "1")
     assert code == 0

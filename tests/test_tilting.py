@@ -320,8 +320,35 @@ def _route_counts(make_ctx, cand, asked, work):
     return out
 
 
+def _node_route_comparisons(spec, arq, asked, work):
+    """(open, public counts, verdict counts) for every candidate of the
+    projective-injectives plus two other nodes a, b, and a again, whose
+    verdict offers a complement; open says whether the path order leaves
+    some pair of its summands open.  The verdict must equal the one the
+    public methods give, with fewer Ext questions and node lookups."""
+    pis = [node.idx for node in arq.nodes if node.is_proj_inj]
+    rest = [node.idx for node in arq.nodes if not node.is_proj_inj]
+    tctx = TiltingContext(spec, arq=arq)
+    out = []
+    for a, b in combinations(rest, 2):
+        ids = pis + [a, b]
+        (want, public_asked, public_work), (got, got_asked, got_work) = \
+            _route_counts(lambda: TiltingContext(spec, arq=arq),
+                          [arq.nodes[i].module for i in ids + [a]],
+                          asked, work)
+        assert got == want
+        if "complement" in got:
+            assert got_asked["ext_vanishes"] < public_asked["ext_vanishes"]
+            assert got_asked["_lookup"] < public_asked["_lookup"]
+            out.append((not all(tctx.path_ext_zero(x, y)
+                                for x in ids for y in ids),
+                        public_work.get("ext_dim", 0),
+                        got_work.get("ext_dim", 0)))
+    return out
+
+
 def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
-                                                    kronecker, mods,
+                                                    a3, kronecker,
                                                     monkeypatch):
     # the verdict equals the one the public methods give, with fewer Ext
     # and isomorphism questions on every exceptional candidate of a
@@ -333,20 +360,26 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
     asked = _counted(TiltingContext, ("ext_vanishes",), monkeypatch.setattr)
     _counted(ARQuiver, ("_lookup",), monkeypatch.setattr, asked)
     work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
-    pis = [M for M in mods.values() if L.is_proj_inj(M)]
-    rest = [M for M in mods.values() if not L.is_proj_inj(M)]
-    compared = 0
-    for a, b in combinations(rest, 2):
-        (want, public_asked, public_work), (got, got_asked, got_work) = \
-            _route_counts(lambda: TiltingContext(spec_a2_m1, arq=arq_a2_m1),
-                          pis + [a, b, a], asked, work)
-        assert got == want
-        if "complement" in got:
-            assert got_asked["ext_vanishes"] < public_asked["ext_vanishes"]
-            assert got_asked["_lookup"] < public_asked["_lookup"]
-            assert got_work["ext_dim"] < public_work["ext_dim"]
-            compared += 1
-    assert compared >= 5
+    # the path order (TiltingContext.path_ext_zero) decides most pairs, and
+    # only the pairs it leaves open cost Ext groups.  The complement search
+    # asks the same of both routes, so the verdict computes fewer Ext
+    # groups exactly when a pair of the candidate itself is open.
+    spec_a3 = ReplicationSpec(a3, 1)
+    seen = Counter()
+    for spec, arq in ((spec_a2_m1, arq_a2_m1), (spec_a3, ARQuiver(spec_a3))):
+        for open_pair, public_ext, got_ext in _node_route_comparisons(
+                spec, arq, asked, work):
+            if open_pair:
+                assert got_ext < public_ext
+            else:
+                assert got_ext == public_ext
+            seen[spec.base.n, open_pair, got_ext > 0] += 1
+    # A2: the verdicts of the four candidates with no open pair compute no
+    # Ext group at all; the fifth holds a1 and a0, and a0 <= b0 = tau a1,
+    # though Ext^{>=1}(a1, a0) = 0
+    assert {k: v for k, v in seen.items() if k[0] == 2} == {
+        (2, False, False): 4, (2, True, True): 1}
+    assert seen[3, True, True] >= 5
 
     kspec = ReplicationSpec(kronecker, 1)
     for cand in sample_faithful_exceptional(TiltingContext(kspec), 6, 4):
@@ -788,6 +821,63 @@ def test_cokernel_summand_without_a_node_names_its_step(
             f"of AR nodes: multiplicities {{n{y}: 1, "
             f"n{nodes_a2_m1['a1/b0'].idx}: 1}} leave dimension vector "
             f"{{'a_1': -1}}" == str(exc.value))
+
+
+def test_a_wrong_mesh_hom_entry_names_its_pair(spec_a2_m1):
+    """A node step reads the mesh Hom table beside the Hom bases it builds:
+    an entry that disagrees with its basis stops the verdict, which names
+    the pair.  The chain of this tilting module starts from P(a, 0), and
+    Hom(P(a, 0), P(a, 1)) is one-dimensional."""
+    arq = ARQuiver(spec_a2_m1)      # its own table, corrupted below
+    nodes = {arq.node_label(n): n for n in arq.nodes}
+    tctx = TiltingContext(spec_a2_m1, arq=arq)
+    start, target = tctx._site_nodes[("a", 0)], nodes["a1/b0/a0"].idx
+    assert arq.hom[start][target] == 1
+    arq.hom[start][target] = 2
+    with pytest.raises(ClosureIncomplete) as exc:
+        tctx.verdict([n.module for n in arq.nodes if n.is_proj_inj]
+                     + [nodes["a1/b0"].module, nodes["a1"].module])
+    assert str(exc.value) == (f"Hom(n{start}, n{target}) has a basis of 1 "
+                              f"maps, the mesh table dimension 2")
+
+
+# -- Ext zeros read off the path order ----------------------------------------
+
+@pytest.mark.parametrize("name,m", [
+    ("a3", 1), ("a3", 2), ("d4", 1), ("d4", 2), ("a4", 2),
+    pytest.param("e6", 1, marks=pytest.mark.slow)])
+def test_path_order_ext_zeros_are_zeros(request, name, m):
+    """Every ordered pair of AR nodes, a node with itself included, that
+    the path order decides (x projective, or y not <= tau x) has no Ext in
+    any degree 1..2m+1.  It decides every self pair, and most pairs."""
+    spec = ReplicationSpec(request.getfixturevalue(name), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    decided = 0
+    for x in arq.nodes:
+        assert tctx.path_ext_zero(x.idx, x.idx)
+        for y in arq.nodes:
+            if tctx.path_ext_zero(x.idx, y.idx):
+                decided += 1
+                assert not any(L.ext_dim(x.module, y.module, i)
+                               for i in range(1, 2 * m + 2)), (x.idx, y.idx)
+    assert decided > len(arq.nodes) ** 2 / 2
+
+
+def test_kronecker_route_computes_every_ext_group(kronecker, monkeypatch):
+    """Without an AR quiver no Ext question is read off a path order:
+    every one the sampling and the verdicts ask is computed, 108 for the
+    sampling and 75 or 96 per verdict."""
+    work = _counted(L, ("ext_dim",), monkeypatch.setattr)
+    spec = ReplicationSpec(kronecker, 1)
+    samples = sample_faithful_exceptional(TiltingContext(spec), 6, 4)
+    assert work["ext_dim"] == 108
+    counts = []
+    for cand in samples:
+        work.clear()
+        TiltingContext(spec).verdict(cand + cand[-1:], want_complement=True)
+        counts.append(work["ext_dim"])
+    assert counts == [75, 96, 96, 96]
 
 
 # -- faithfulness from cached row bases --------------------------------------------
