@@ -9,10 +9,12 @@ each injective must split into the knitted arrows.  On top of the quiver
 sit the path order, one memoized cosyzygy per node, and on node ids read
 from it: the cosyzygy slices, projective dimension with its
 position/witness cross-checks, the left part that serves as the cluster
-fundamental domain, and the commutation and syzygy-duality suites.  Two
+fundamental domain, and the commutation and syzygy-duality suites.  Three
 things are made on first use only, never by the build: dim Hom between any
-two nodes, counted along the meshes (hom, by quiver.mesh_hom), and the
-identity map from a node's own module to its id (node_id).
+two nodes, counted along the meshes (hom, by quiver.mesh_hom), Hom(x, -) of
+the mesh category in integer matrices, one source node x at a time (mesh,
+a quiver.MeshTable), and the identity map from a node's own module to its
+id (node_id).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 from . import layered as L
 from .errors import ClosureIncomplete, NotInDomain, TheoremViolation
-from .quiver import ReplicationSpec, knit, mesh_hom
+from .quiver import MeshTable, ReplicationSpec, knit, mesh_hom
 
 
 @dataclass
@@ -211,10 +213,18 @@ class ARQuiver:
     @cached_property
     def hom(self) -> list:
         """hom[a][b] = dim Hom(node a, node b), counted along the meshes
-        (quiver.mesh_hom) on first use.  The node route reads it beside the
-        Hom bases it builds and checks the two against each other."""
+        (quiver.mesh_hom) on first use.  The mesh table (mesh) checks every
+        space it knits against it."""
         return mesh_hom(self.topo_order, self.in_arrows,
                         [node.tau for node in self.nodes])
+
+    @cached_property
+    def mesh(self) -> MeshTable:
+        """Hom(x, -) of the mesh category for each source node x, in integer
+        matrices (quiver.MeshTable), each knitted on first use and checked
+        against hom.  The node route's approximation steps read only it."""
+        return MeshTable(self.topo_order, self.in_arrows,
+                         [node.tau for node in self.nodes], self.hom)
 
     # -- cosyzygies, slices and projective dimension ----------------------------
 

@@ -13,13 +13,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NotSupported
+from .errors import ClosureIncomplete, NotSupported
+from .linalg import quo
 
 __all__ = [
     "Quiver", "ReplicationSpec", "QuiverError", "CycleFound", "Disconnected",
     "validate_hereditary", "grothendieck_rank", "replicated_vertex_set",
     "load_quiver", "quiver_from_dict", "dynkin_type", "knit", "KnitTable",
-    "knit_ind", "IndTable", "LVertex", "mesh_hom",
+    "knit_ind", "IndTable", "LVertex", "mesh_hom", "MeshTable", "HomRow",
 ]
 
 
@@ -451,3 +452,174 @@ def mesh_hom(order, in_arrows, tau) -> list:
                 0 if t is None else row[t])
         hom[a] = row
     return hom
+
+
+class HomRow(NamedTuple):
+    """P_x = Hom(x, -) of the mesh category from one source node x.
+
+    dims[n] = dim P_x(n).  For every node n with dims[n] > 0, origin[n]
+    says where each basis vector of P_x(n) comes from: (e, l), the image of
+    basis vector l of P_x(e) under the arrow e -> n, or (None, 0) for id_x
+    at n = x.  blocks[n][e] is the arrow map P_x(e) -> P_x(n) as a list of
+    columns, one per basis vector of P_x(e)."""
+    dims: list
+    origin: dict
+    blocks: dict
+
+
+class MeshTable:
+    """Hom(x, -) of the mesh category of a representation-directed AR
+    quiver in integer matrices, one source node at a time, built on first
+    use and cached.
+
+    P_x(x) = k.  A projective n != x has P_x(n) = sum of P_x(e) over its
+    in-arrows e -> n, since rad n -> n is right almost split.  A
+    non-projective n != x has P_x(n) the cokernel of P_x(tau n) -> sum of
+    P_x(e) (the AR sequence, Hom(x, -) being exact on it away from n = x;
+    mesh relations with all signs +), with the coordinates that are no
+    pivot of the image as its basis, so the section is an inclusion and the
+    block at e of the cokernel projection is the arrow map e -> n.  Every
+    dim P_x(n), P_x(x) = k = End x included, must equal hom[x][n], the
+    count of mesh_hom, else ClosureIncomplete names the pair: the check
+    that the maps P_x(tau n) -> sum P_x(e) are injective.  An arrow of
+    multiplicity above 1 raises NotSupported; none occurs on a Dynkin
+    base.
+
+    pull(x, t, i) is g* for g = e_i in P_x(t): the natural map P_t -> P_x,
+    h -> h g, one matrix per node n, column by column: a basis vector of
+    P_t(n) from (e, l) goes to blocks_x[n][e] applied to column l of g*_e.
+    """
+
+    def __init__(self, order, in_arrows, tau, hom):
+        self.order = list(order)
+        self.pos = {a: s for s, a in enumerate(self.order)}
+        self.in_arrows = in_arrows
+        self.tau = tau
+        self.hom = hom
+        self._rows = {}
+        self._pulls = {}
+
+    def row(self, x) -> HomRow:
+        """P_x, knitted along the meshes from x on first use."""
+        out = self._rows.get(x)
+        if out is None:
+            out = self._rows[x] = self._knit(x)
+        return out
+
+    def _knit(self, x) -> HomRow:
+        dims = [0] * len(self.order)
+        dims[x] = 1
+        self._check(x, x, 1)
+        origin, blocks = {x: [(None, 0)]}, {x: {}}
+        for n in self.order[self.pos[x] + 1:]:
+            coords = []
+            for e, mult in self.in_arrows[n]:
+                if mult != 1:
+                    raise NotSupported(
+                        f"mesh table: arrow n{e} -> n{n} has multiplicity "
+                        f"{mult}")
+                coords.extend((e, l) for l in range(dims[e]))
+            t = self.tau[n]
+            pivots = {} if t is None or not dims[t] else \
+                _reduced_pivots(self._mesh_images(blocks, dims, t, n))
+            free = [c for c in range(len(coords)) if c not in pivots]
+            self._check(x, n, len(free))
+            if not free:
+                continue
+            dims[n] = len(free)
+            origin[n] = [coords[c] for c in free]
+            slot = {c: k for k, c in enumerate(free)}
+            cols = []
+            for c in range(len(coords)):
+                if c in slot:
+                    col = [0] * len(free)
+                    col[slot[c]] = 1
+                else:
+                    col = [-pivots[c][f] for f in free]
+                cols.append(col)
+            arrows, start = {}, 0
+            for e, _ in self.in_arrows[n]:
+                if dims[e]:
+                    arrows[e] = cols[start:start + dims[e]]
+                    start += dims[e]
+            blocks[n] = arrows
+        return HomRow(dims, origin, blocks)
+
+    def _check(self, x, n, dim):
+        """dim P_x(n) as knitted must be hom[x][n]."""
+        if dim != self.hom[x][n]:
+            raise ClosureIncomplete(
+                f"Hom(n{x}, n{n}) has a basis of {dim} maps, the mesh table "
+                f"dimension {self.hom[x][n]}")
+
+    def _mesh_images(self, blocks, dims, t, n):
+        """The image of each basis vector of P_x(tau n) in the sum of the
+        P_x(e) over the arrows e -> n, stacked in in-arrow order (a missing
+        arrow map counts as zero)."""
+        images = [[] for _ in range(dims[t])]
+        for e, _ in self.in_arrows[n]:
+            if not dims[e]:
+                continue
+            cols = blocks[e].get(t)
+            for b, image in enumerate(images):
+                image.extend(cols[b] if cols else [0] * dims[e])
+        return images
+
+    def pull(self, x, t, i) -> dict:
+        """g* for g = e_i in P_x(t): node n -> its matrix P_t(n) -> P_x(n)
+        as a list of columns, for every n with both spaces nonzero."""
+        key = x, t, i
+        out = self._pulls.get(key)
+        if out is not None:
+            return out
+        src, dst = self.row(x), self.row(t)
+        dx = src.dims
+        g = [0] * dx[t]
+        g[i] = 1
+        out = {t: [g]}
+        for n in self.order[self.pos[t] + 1:]:
+            height = dx[n]
+            if not height or n not in dst.origin:
+                continue
+            arrows = src.blocks[n]
+            cols = []
+            for e, l in dst.origin[n]:
+                col = [0] * height
+                before = out.get(e)
+                if before is not None:
+                    for a, image in zip(before[l], arrows[e]):
+                        if a:
+                            for r, v in enumerate(image):
+                                if v:
+                                    col[r] += a * v
+                cols.append(col)
+            out[n] = cols
+        self._pulls[key] = out
+        return out
+
+
+def _reduced_pivots(vectors):
+    """pivot coordinate -> row of a reduced echelon basis of the span of
+    vectors: the row is 1 at its pivot and 0 at every other pivot.  A pivot
+    is the first coordinate of a remainder that holds +-1, else its first
+    nonzero one."""
+    pivots = {}
+    for vec in vectors:
+        row = list(vec)
+        for c, prow in pivots.items():
+            f = row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, prow)]
+        nonzero = [c for c, a in enumerate(row) if a]
+        if not nonzero:
+            continue
+        c = next((c for c in nonzero if row[c] in (1, -1)), nonzero[0])
+        p = row[c]
+        if p != 1:
+            row = [quo(a, p) for a in row]
+        for c2, prow in pivots.items():
+            f = prow[c]
+            if f:
+                pivots[c2] = [a - f * b for a, b in zip(prow, row)]
+        pivots[c] = row
+    return pivots

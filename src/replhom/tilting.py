@@ -46,18 +46,26 @@ coresolution is taken node by node.  The minimal left approximation of an
 indecomposable X into add T depends only on X and on the summands T_j with
 Hom(X, T_j) != 0, so one step is computed, verified and memoized per (node,
 that Hom-support): stalled, or the AR nodes of its cokernel.  The
-Hom-support is read from the AR quiver's mesh Hom table (arq.hom), and every
-Hom basis a step builds between nodes must have the table's dimension, else
-ClosureIncomplete names the pair.  A step builds no module.  Its
-approximation f: X -> T0 is mono when the stacked component blocks have rank
-dim X at every (layer, vertex), and the multiplicity of a node Y in C =
-coker f is read by Auslander's formula dim Hom(C, Y) - dim Hom(C, E) + dim
-Hom(C, tau Y), E the middle term of the AR sequence ending in Y (rad Y, with
-no tau term, for a projective Y), from the ranks of Hom(T0, N) -> Hom(X, N)
-(Auslander-Reiten-Smalo IV.4).  As approximations are additive, the chain of
-the projectives outside add T completes exactly when every one of them
-reaches zero within 2m+2 steps.  The module route builds the chain out of
-cokernel modules; the tests use it as the oracle of the node route.
+Hom-support is read from the AR quiver's mesh Hom table (arq.hom).  A step
+builds no module and no Hom basis.  A^(m) over a Dynkin base is
+representation-directed and standard, so ind A^(m) is the mesh category of
+its AR quiver (Bongartz-Gabriel, Invent. Math. 1982; Ringel, LNM 1099,
+2.4), and a step reads only the integer mesh table arq.mesh
+(quiver.MeshTable): the Hom functors P_N = Hom(N, -), each dim P_N(M)
+checked against arq.hom, and the maps g*: P_T -> P_X, h -> h g, of the g
+in P_X(T).  The components of the approximation f: X -> T0 are the basis
+vectors of each P_X(T_j) outside the images of the g* from the other
+targets (End T_j = k); their images must span every P_X(T_j), else
+TheoremViolation names the step.  f is mono when Hom(P, X) -> Hom(P, T0) is
+injective for every projective node P, and the multiplicity of a node Y in
+C = coker f is read by Auslander's formula dim Hom(C, Y) - dim Hom(C, E) +
+dim Hom(C, tau Y), E the middle term of the AR sequence ending in Y (rad Y,
+with no tau term, for a projective Y), from the ranks of the stacked g*_N:
+Hom(T0, N) -> Hom(X, N) (Auslander-Reiten-Smalo IV.4).  As approximations
+are additive, the chain of the projectives outside add T completes exactly
+when every one of them reaches zero within 2m+2 steps.  The module route
+builds the chain out of cokernel modules; the tests use it as the oracle of
+the node route.
 
 Both routes test C_0, ..., C_{2m+2} for zero, and for an exceptional T
 that bound suffices.  A left approximation C_k -> T_k makes Hom(T_k, T) ->
@@ -81,6 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import le
 
 from . import layered as L
 from . import repa
@@ -253,9 +262,17 @@ class TiltingContext:
         return self._degrees_vanish([(X, Y), (Y, X)])
 
     def is_exceptional(self, summands) -> bool:
+        """Ext^i(X, Y) = 0 for 1 <= i <= 2m+1 and every X, Y in summands.
+        When every summand is a node module, the node ids are found once
+        and the pairs are decided on them (node_ext_vanishes)."""
         if isinstance(summands, BasicExceptional):
             return True
         summands = list(summands)
+        if self.arq is not None:
+            ids = [self.arq.node_id(M) for M in summands]
+            if None not in ids:
+                return all(self.node_ext_vanishes(x, y)
+                           for x in ids for y in ids)
         for X in summands:
             for Y in summands:
                 if not self.ext_vanishes(X, Y):
@@ -554,92 +571,149 @@ class TiltingContext:
         node indices of its cokernel's summands (empty when it is zero).
 
         The minimal left approximation f: X -> T0 into add T needs only the
-        T_j with Hom(X, T_j) != 0, so support (those T_j) fixes it; its
-        components are chosen and verified once per key, as in
-        minimal_left_approximation, but no module is built: f is mono when
-        its stacked component blocks have rank dim X at every (layer,
-        vertex), and its cokernel is read off Hom ranks (_cokernel_nodes).
+        T_j with Hom(X, T_j) != 0, so support (those T_j) fixes it.  A step
+        reads only the mesh table arq.mesh, the Hom functors P_N = Hom(N, -)
+        of the mesh category, which is ind A^(m) as A^(m) is standard: its
+        components are chosen (_mesh_reps) and checked to be a left
+        approximation (_assert_mesh_approximation), f is tested mono through
+        the projective nodes (_mesh_mono), and its cokernel is read by
+        Auslander's formula (_mesh_cokernel).  No module is built.
         """
         key = idx, support
         if key in self._steps:
             return self._steps[key]
-        nodes = self.arq.nodes
-        X = nodes[idx].module
         targets = sorted(support)
-        summands = [nodes[j].module for j in targets]
-        homs = [self._node_hom_basis(idx, j) for j in targets]
-        composites = {}
-        reps = self._approximation_reps(summands, homs, composites)
+        reps = self._mesh_reps(idx, targets)
         out = None
         if reps:
-            self._assert_approximation(summands, homs, reps, composites)
-            if _stacked_mono(X, [g for _, g in reps]):
-                out = self._cokernel_nodes(
-                    idx, [(targets[j], g) for j, g in reps], composites)
+            self._assert_mesh_approximation(idx, targets, reps)
+            if self._mesh_mono(idx, reps):
+                out = self._mesh_cokernel(idx, reps)
         self._steps[key] = out
         return out
 
-    def _node_hom_basis(self, a, b):
-        """The Hom basis of node a into node b, checked against the mesh
-        table arq.hom: a basis of another size raises ClosureIncomplete
-        naming the pair."""
-        nodes = self.arq.nodes
-        basis = L.hom_basis_rep(nodes[a].module, nodes[b].module)
-        if len(basis) != self.arq.hom[a][b]:
-            raise ClosureIncomplete(
-                f"Hom(n{a}, n{b}) has a basis of {len(basis)} maps, the mesh "
-                f"table dimension {self.arq.hom[a][b]}",
-                witness=nodes[a].module)
-        return basis
+    def _mesh_reps(self, x, targets):
+        """The components (t, i) of the minimal left approximation of node x
+        into add of the nodes targets, each g = e_i a basis vector of
+        P_x(t) = Hom(x, t): those outside the span of the maps that factor
+        through a radical map into t, kept in basis order.  End t = k (the
+        row of t checks dim P_t(t) = 1 against arq.hom), so the radical
+        maps come from the other targets t2: the images of P_t2(t) under
+        g2* for g2 in P_x(t2)."""
+        mesh = self.arq.mesh
+        dims = mesh.row(x).dims
+        reps = []
+        for t in targets:
+            d = dims[t]
+            if not d:
+                continue
+            span = Echelon(d)
+            for t2 in targets:
+                if t2 == t or not dims[t2] or not mesh.row(t2).dims[t]:
+                    continue
+                for i in range(dims[t2]):
+                    for col in mesh.pull(x, t2, i)[t]:
+                        if span.rank < d:
+                            span.add(col)
+            for i in range(d):
+                unit = [0] * d
+                unit[i] = 1
+                if span.add(unit):
+                    reps.append((t, i))
+        return reps
 
-    def _cokernel_nodes(self, idx, used, composites):
-        """The sorted AR nodes of the cokernel C of a mono step f at node
-        idx, f having components g_k: X -> T_k into the nodes t_k of used =
-        [(t_k, g_k)].
+    def _assert_mesh_approximation(self, x, targets, reps):
+        """Every map x -> t, t in targets, must factor through the
+        approximation with components reps: the images of the P_t2(t)
+        under the g* of the reps (t2, g) span P_x(t), else TheoremViolation
+        names the step and the target."""
+        mesh = self.arq.mesh
+        dims = mesh.row(x).dims
+        pulls = [mesh.pull(x, t2, i) for t2, i in reps]
+        for t in targets:
+            span = Echelon(dims[t])
+            for g in pulls:
+                for col in g.get(t, ()):
+                    if span.rank == dims[t]:
+                        break
+                    span.add(col)
+            if span.rank < dims[t]:
+                raise TheoremViolation(
+                    f"the approximation step at n{x} misses a morphism into "
+                    f"n{t}: its components span {span.rank} of the "
+                    f"{dims[t]} dimensions of Hom(n{x}, n{t})",
+                    witness=self.arq.nodes[x].module)
+
+    def _mesh_mono(self, x, reps):
+        """Whether f: X -> T0 with components reps is mono: for every
+        projective node P, Hom(P, X) -> Hom(P, T0), u -> f u, is injective
+        (dim Hom(P(v, i), M) is the dimension of M at (v, i)).  The
+        component t of f u is u*(e_i) in P_P(t)."""
+        mesh = self.arq.mesh
+        for p in self._site_nodes.values():
+            dims = mesh.row(p).dims
+            d = dims[x]
+            if not d:
+                continue
+            span = Echelon(sum(dims[t] for t, _ in reps))
+            for u in range(d):
+                pulled = mesh.pull(p, x, u)
+                vec = []
+                for t, i in reps:
+                    if dims[t]:
+                        vec.extend(pulled[t][i])
+                span.add(vec)
+            if span.rank < d:
+                return False
+        return True
+
+    @cached_property
+    def _dim_vectors(self):
+        return [node.module.dim_vector() for node in self.arq.nodes]
+
+    def _mesh_cokernel(self, x, reps):
+        """The sorted AR nodes of the cokernel C of a mono step f at node x
+        with components reps = [(t_k, e_i)], e_i in P_x(t_k).
 
         Hom(C, N) is the kernel of Hom(T0, N) -> Hom(X, N), h -> h f, so
-        dim Hom(C, N) is sum_k dim Hom(T_k, N) less the rank of the vectors
-        of the h g_k.  By Auslander's formula the multiplicity of Y in C is
-        dim Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), with E the sum of
-        the in-arrows of Y (the middle term of the AR sequence ending in Y,
-        or rad Y when Y is projective, which has no tau term).  A summand Y
-        of C is a quotient of T0, so Hom(T0, Y) != 0 in the mesh table, and
-        dim Y <= dim C: only those Y are tested.  The multiplicities must be
+        dim Hom(C, N) is sum_k dim P_{t_k}(N) less the rank of the stacked
+        g_k*_N.  By Auslander's formula the multiplicity of Y in C is dim
+        Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), with E the sum of the
+        in-arrows of Y (the middle term of the AR sequence ending in Y, or
+        rad Y when Y is projective, which has no tau term).  A summand Y of
+        C is a quotient of T0, so some P_{t_k}(Y) != 0, and dim Y <= dim C:
+        only those Y are tested.  The multiplicities must be
         >= 0 and add up to dim C, else ClosureIncomplete names the step."""
-        arq = self.arq
-        nodes, table = arq.nodes, arq.hom
-        starts = {t for t, _ in used}
-        left = [-x for x in nodes[idx].module.dim_vector()]
-        for t, _ in used:
-            left = [a + b for a, b in zip(left, nodes[t].module.dim_vector())]
+        arq, mesh = self.arq, self.arq.mesh
+        nodes, vectors = arq.nodes, self._dim_vectors
+        dims_x = mesh.row(x).dims
+        rows = [mesh.row(t).dims for t, _ in reps]
+        pulls = [mesh.pull(x, t, i) for t, i in reps]
+        left = [-a for a in vectors[x]]
+        for t, _ in reps:
+            left = [a + b for a, b in zip(left, vectors[t])]
         hom_dims = {}
 
         def hom(n):
             """dim Hom(C, node n)."""
             d = hom_dims.get(n)
             if d is None:
-                span, total = None, 0
-                for t, g in used:
-                    if not table[t][n]:
-                        continue
-                    for h in self._node_hom_basis(t, n):
-                        vec = composites.get((h, g))
-                        if vec is None:
-                            vec = _composite_vector(h, g)
-                        if span is None:
-                            span = Echelon(len(vec))
-                        span.add(vec)
-                        total += 1
-                d = hom_dims[n] = total - (span.rank if span else 0)
+                d = sum(row[n] for row in rows)
+                if dims_x[n]:
+                    span = Echelon(dims_x[n])
+                    for g in pulls:
+                        for col in g.get(n, ()):
+                            if span.rank < dims_x[n]:
+                                span.add(col)
+                    d -= span.rank
+                hom_dims[n] = d
             return d
 
         mults = {}
-        for node in nodes:
-            y = node.idx
-            dims = node.module.dim_vector()
-            if any(a > b for a, b in zip(dims, left)) or not any(
-                    table[t][y] for t in starts):
+        for y in sorted(set().union(*(mesh.row(t).origin for t, _ in reps))):
+            if not all(map(le, vectors[y], left)):
                 continue
+            node = nodes[y]
             mult = hom(y) - sum(mu * hom(e) for e, mu in arq.in_arrows[y])
             if not node.is_projective:
                 mult += hom(node.tau)
@@ -647,16 +721,15 @@ class TiltingContext:
                 mults[y] = mult
         rest = list(left)
         for y, mult in mults.items():
-            rest = [a - mult * b for a, b in
-                    zip(rest, nodes[y].module.dim_vector())]
+            rest = [a - mult * b for a, b in zip(rest, vectors[y])]
         if any(rest) or any(mult < 0 for mult in mults.values()):
             found = ", ".join(f"n{y}: {mult}"
                               for y, mult in sorted(mults.items()))
             raise ClosureIncomplete(
-                f"the cokernel of the approximation step at n{idx} is no "
+                f"the cokernel of the approximation step at n{x} is no "
                 f"sum of AR nodes: multiplicities {{{found}}} leave "
                 f"dimension vector {_dims(self.spec, rest)}",
-                witness=nodes[idx].module)
+                witness=nodes[x].module)
         return tuple(sorted(mults))
 
     # -- tilting -------------------------------------------------------------------
@@ -857,24 +930,6 @@ def _composite_vector(h: L.LModMorphism, g: L.LModMorphism):
             for row in (hp.mats[v] * gp.mats[v]).data:
                 out.extend(row)
     return out
-
-
-def _stacked_mono(M, gs):
-    """Whether the morphism out of M with components gs[k]: M -> T_k is
-    mono: at every (layer, vertex) the stacked blocks of the gs have rank
-    dim M there (_stack(M, D, gs).is_mono(), with no D built)."""
-    for l, layer in enumerate(M.layers):
-        for v in M.quiver.vertices:
-            d = layer.dim[v]
-            if not d:
-                continue
-            span = Echelon(d)
-            for g in gs:
-                for row in g.parts[l].mats[v].data:
-                    span.add(row)
-            if span.rank < d:
-                return False
-    return True
 
 
 def _stack(M, D, gs):

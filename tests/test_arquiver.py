@@ -423,6 +423,117 @@ def test_mesh_hom_table_matches_the_hom_bases(request, name, m):
                 L.hom_basis_rep(x.module, y.module)), (x.idx, y.idx)
 
 
+# -- Hom(x, -) of the mesh category, in integer matrices ----------------------
+
+@pytest.mark.parametrize("name,m", [("a3", 1), ("a3", 2), ("d4", 1),
+                                    ("a4", 2)])
+def test_mesh_table_rows_have_the_hom_dimensions(request, name, m):
+    """arq.mesh is made on first use, not by the build.  Each row P_x has
+    dim P_x(y) = arq.hom[x][y] at every node y, each basis vector of P_x(y)
+    comes from an arrow into y (or is id_x at y = x), and every arrow map
+    holds integers only."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    assert "mesh" not in vars(arq)
+    for x in arq.nodes:
+        row = arq.mesh.row(x.idx)
+        assert row.dims == arq.hom[x.idx]
+        assert row.origin[x.idx] == [(None, 0)]
+        for y, origin in row.origin.items():
+            arrows = {e for e, _ in arq.in_arrows[y]}
+            assert len(origin) == row.dims[y]
+            assert y == x.idx or {e for e, _ in origin} <= arrows
+            assert set(row.blocks[y]) <= arrows
+            for e, cols in row.blocks[y].items():
+                assert len(cols) == row.dims[e]
+                assert all(type(v) is int and len(col) == row.dims[y]
+                           for col in cols for v in col)
+
+
+def test_a_wrong_endomorphism_entry_is_named(spec_a2_m1):
+    """P_x(x) = k: a table that gives End x another dimension stops the
+    row of x, naming the pair."""
+    arq = ARQuiver(spec_a2_m1)      # its own table, corrupted below
+    arq.hom[3][3] = 2
+    for x in range(len(arq.nodes)):
+        if x != 3:
+            arq.mesh.row(x)
+    with pytest.raises(ClosureIncomplete) as exc:
+        arq.mesh.row(3)
+    assert str(exc.value) == ("Hom(n3, n3) has a basis of 1 maps, the mesh "
+                              "table dimension 2")
+
+
+def _apply(cols, vec, height):
+    """The matrix given by its columns cols (of length height) times vec."""
+    out = [0] * height
+    for a, col in zip(vec, cols):
+        for r, v in enumerate(col):
+            out[r] += a * v
+    return out
+
+
+@pytest.mark.parametrize("name,m", [("a2", 1), ("a3", 1)])
+def test_mesh_composition_matches_the_modules(request, name, m):
+    """For nodes x, t, s and basis vectors g of Hom(x, t) and h of
+    Hom(t, s), the pulls compose like maps: (h g)* = g* h* at every node.
+    The composites h g span a subspace of Hom(x, s) of the dimension the
+    module route's composites span."""
+    from replhom.linalg import Echelon
+    from replhom.tilting import _composite_vector
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    mesh, hom = arq.mesh, arq.hom
+    ids = range(len(arq.nodes))
+    triples = 0
+    for x in ids:
+        for t in ids:
+            for s in ids:
+                if not (hom[x][t] and hom[t][s] and hom[x][s]):
+                    continue
+                span = Echelon(hom[x][s])
+                for i in range(hom[x][t]):
+                    g = mesh.pull(x, t, i)
+                    for j in range(hom[t][s]):
+                        hg = g[s][j]
+                        span.add(hg)
+                        h = mesh.pull(t, s, j)
+                        for n, cols in mesh.pull(x, s, 0).items():
+                            height = hom[x][n]
+                            want = [[0] * height for _ in cols]
+                            for k, a in enumerate(hg):
+                                if a:
+                                    for c, col in enumerate(
+                                            mesh.pull(x, s, k)[n]):
+                                        want[c] = [w + a * v for w, v
+                                                   in zip(want[c], col)]
+                            # g* h* is zero at n when P_t(n) is
+                            got = [_apply(g[n], col, height)
+                                   for col in h[n]] if n in h else \
+                                [[0] * height for _ in cols]
+                            assert got == want, (x, t, s, i, j, n)
+                mods = [arq.nodes[k].module for k in (x, t, s)]
+                vecs = [_composite_vector(hh, gg)
+                        for gg in L.hom_basis_rep(mods[0], mods[1])
+                        for hh in L.hom_basis_rep(mods[1], mods[2])]
+                module_span = Echelon(len(vecs[0]))
+                for vec in vecs:
+                    module_span.add(vec)
+                assert span.rank == module_span.rank, (x, t, s)
+                triples += 1
+    assert triples > len(arq.nodes)
+
+
+def test_a_multiple_arrow_is_not_supported():
+    """The mesh table knits arrows of multiplicity 1 only, as on every
+    Dynkin base; a double arrow (the Kronecker quiver's projectives) is
+    refused by name."""
+    from replhom.errors import NotSupported
+    table = quiver.MeshTable([0, 1], {0: [], 1: [(0, 2)]}, [None, None],
+                             quiver.mesh_hom([0, 1], {0: [], 1: [(0, 2)]},
+                                             [None, None]))
+    with pytest.raises(NotSupported, match="n0 -> n1 has multiplicity 2"):
+        table.row(0)
+
+
 def test_node_id_is_an_identity_test(arq_a2_m1):
     for node in arq_a2_m1.nodes:
         assert arq_a2_m1.node_id(node.module) == node.idx

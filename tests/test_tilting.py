@@ -7,13 +7,15 @@ from itertools import combinations, islice
 import pytest
 
 from replhom.arquiver import ARQuiver
+from replhom.cluster import verify_bijection
 from replhom.errors import ClosureIncomplete, TheoremViolation
 from replhom.linalg import NoSolution, QMatrix
-from replhom.quiver import ReplicationSpec
+from replhom.quiver import MeshTable, ReplicationSpec
 from replhom.tilting import (BasicExceptional, StallInfo, TiltingContext,
                              _stack, compatible_sets,
                              sample_faithful_exceptional)
 from replhom import layered as L
+from replhom import tilting
 from replhom.repa import AMorphism
 
 
@@ -338,7 +340,8 @@ def _node_route_comparisons(spec, arq, asked, work):
                           asked, work)
         assert got == want
         if "complement" in got:
-            assert got_asked["ext_vanishes"] < public_asked["ext_vanishes"]
+            assert got_asked["node_ext_vanishes"] < \
+                public_asked["node_ext_vanishes"]
             assert got_asked["_lookup"] < public_asked["_lookup"]
             out.append((not all(tctx.path_ext_zero(x, y)
                                 for x in ids for y in ids),
@@ -357,7 +360,11 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
     # isomorphism questions are counted where the context asks them, the
     # AR quiver's node lookups; on the module route (Kronecker) the
     # layered ones are.
-    asked = _counted(TiltingContext, ("ext_vanishes",), monkeypatch.setattr)
+    # the Ext questions are counted on node ids (node_ext_vanishes), which
+    # is_exceptional asks directly on a list of node modules and
+    # ext_vanishes on a pair of them
+    asked = _counted(TiltingContext, ("node_ext_vanishes",),
+                     monkeypatch.setattr)
     _counted(ARQuiver, ("_lookup",), monkeypatch.setattr, asked)
     work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
     # the path order (TiltingContext.path_ext_zero) decides most pairs, and
@@ -521,29 +528,37 @@ def test_compatible_sets_ask_each_verdict_once():
 
 # -- the chain from the projectives outside add T ---------------------------------
 
-def _reduced_chain_cases(q, m, stride=1):
+def _reduced_chain_cases(q, m, stride=1, sample=None):
     """For every compatible set T of AR nodes up to rank (every stride-th
-    in enumeration order), is_tilting(T) must equal the verdict of the
-    chain of the full regular module, built by the module route.  Each
-    is_tilting must take the node route, choose one approximation per new
-    memo key, and build no module: no cokernel, decomposition or direct
-    sum.  Every memoized step must then equal the one the module route
-    gives (_module_step).  Returns how often the reduced chain started from
-    a projective-injective, from layer-0 projectives alone, or from
-    nothing, and how many T were tilting."""
+    in enumeration order, or the sets sample(n, pair_ok, rank) gives, n
+    the number of nodes and pair_ok compatibility on node indices),
+    is_tilting(T) must equal the verdict of the chain of the full regular
+    module, built by the module route.  Each is_tilting must take the node
+    route, choose one approximation per new memo key from the mesh table,
+    and build no module: no cokernel, decomposition or direct sum.  Every
+    memoized step must then equal the one the module route gives
+    (_module_step).  Returns how often the reduced chain started from a
+    projective-injective, from layer-0 projectives alone, or from nothing,
+    and how many T were tilting."""
     spec = ReplicationSpec(q, m)
     arq = ARQuiver(spec)
     tctx = TiltingContext(spec, arq=arq)
     mods = [node.module for node in arq.nodes]
     rank = q.n * (m + 1)
     seen = Counter()
-    calls = _counted(tctx, ("approximation_chain", "_approximation_reps"))
-    sets = compatible_sets(
-        len(mods), lambda a, b: tctx.compatible(mods[a], mods[b]), rank)
+    calls = _counted(tctx, ("approximation_chain", "_approximation_reps",
+                            "_mesh_reps"))
+
+    def pair_ok(a, b):
+        return tctx.compatible(mods[a], mods[b])
+
+    sets = islice(compatible_sets(len(mods), pair_ok, rank), 0, None,
+                  stride) if sample is None else sample(len(mods), pair_ok,
+                                                        rank)
     with pytest.MonkeyPatch.context() as mp:
         built = _counted(L, ("cokernel_rep", "decompose_rep",
                              "layered_direct_sum"), mp.setattr)
-        for idxs in islice(sets, 0, None, stride):
+        for idxs in sets:
             T = tctx.basic([mods[i] for i in idxs])
             assert tctx.node_ids(T) == list(idxs)
             assert tctx.is_exceptional(T)
@@ -554,8 +569,9 @@ def _reduced_chain_cases(q, m, stride=1):
             tilting = tctx.is_tilting(T)
             assert calls["approximation_chain"] == \
                 before["approximation_chain"]
-            assert (calls["_approximation_reps"]
-                    - before["_approximation_reps"]
+            assert calls["_approximation_reps"] == \
+                before["_approximation_reps"]
+            assert (calls["_mesh_reps"] - before["_mesh_reps"]
                     == len(tctx._steps) - keys)
             assert built == built_before
             assert tilting == full.completed, idxs
@@ -645,6 +661,55 @@ def test_reduced_chain_agrees_with_the_full_chain_d4_m1(d4):
     assert seen["projective-injective in start"] > 0
     assert seen["layer-0 start"] > 0
     assert seen["tilting"] == 567
+
+
+def _greedy_sets(count, seed):
+    """A sample for _reduced_chain_cases: count node sets, each a maximal
+    compatible set grown greedily in a seeded random node order (stopped at
+    rank), or a prefix of one of seeded random length.  A maximal set of
+    fewer than rank nodes has a chain that stalls."""
+    def sample(n, pair_ok, rank):
+        rng = random.Random(seed)
+        for _ in range(count):
+            order = list(range(n))
+            rng.shuffle(order)
+            chosen = []
+            for c in order:
+                if len(chosen) == rank:
+                    break
+                if all(pair_ok(o, c) for o in chosen + [c]):
+                    chosen.append(c)
+            keep = len(chosen) if rng.random() < 0.5 else \
+                rng.randint(1, len(chosen))
+            yield tuple(sorted(chosen[:keep]))
+    return sample
+
+
+@pytest.mark.parametrize("base", ["d4", "a4"])
+def test_reduced_chain_agrees_on_m2_samples(base, request):
+    """Seeded random compatible sets of D4 and A4 with m = 2 (1,640,959
+    and 1,100,031 compatible sets, too many to walk), and every
+    approximation step they meet, stalled ones among them."""
+    seen = _reduced_chain_cases(request.getfixturevalue(base), 2,
+                                sample=_greedy_sets(20, seed=2))
+    assert seen["steps"] > seen["stalled steps"] > 0
+    assert seen["tilting"] > 0
+
+
+@pytest.mark.slow
+def test_every_e6_m1_verify_step_matches_the_module_step(e6):
+    """Every approximation step that the E6 m = 1 bijection check memoizes
+    equals the one the module route gives: 3,190 steps, none stalled, as
+    the check coresolves its 833 tilting modules only."""
+    spec = ReplicationSpec(e6, 1)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    report = verify_bijection(spec, arq=arq, tctx=tctx)
+    assert not report["violations"]
+    assert report["module_side_count"] == 833
+    for (idx, support), nodes in tctx._steps.items():
+        assert nodes == _module_step(tctx, idx, support), (idx, support)
+    assert len(tctx._steps) == 3190
 
 
 def test_reduced_chain_start_sites(ctx, mods):
@@ -839,6 +904,116 @@ def test_a_wrong_mesh_hom_entry_names_its_pair(spec_a2_m1):
                      + [nodes["a1/b0"].module, nodes["a1"].module])
     assert str(exc.value) == (f"Hom(n{start}, n{target}) has a basis of 1 "
                               f"maps, the mesh table dimension 2")
+
+
+def test_a_corrupted_arrow_map_names_its_pair(spec_a2_m1, monkeypatch):
+    """The mesh table checks every space it knits against arq.hom.  The
+    only arrow into a1 comes from a1/b0, so with the arrow map tau a1 ->
+    a1/b0 zeroed in a row being knitted, the mesh ending in a1 no longer
+    kills the image of P_x(tau a1): P_x(a1) comes out too large by dim
+    P_x(tau a1), and the verdict stops naming the pair."""
+    arq = ARQuiver(spec_a2_m1)      # its own mesh table, corrupted below
+    nodes = {arq.node_label(n): n for n in arq.nodes}
+    y, e = nodes["a1"].idx, nodes["a1/b0"].idx
+    t = arq.nodes[y].tau
+    assert arq.in_arrows[y] == [(e, 1)]
+    real = arq.mesh._mesh_images
+
+    def corrupted(blocks, dims, tau_n, n):
+        if n == y and dims[t]:
+            blocks[e][t] = [[0] * dims[e] for _ in range(dims[t])]
+        return real(blocks, dims, tau_n, n)
+
+    monkeypatch.setattr(arq.mesh, "_mesh_images", corrupted)
+    tctx = TiltingContext(spec_a2_m1, arq=arq)
+    with pytest.raises(ClosureIncomplete) as exc:
+        tctx.verdict([n.module for n in arq.nodes if n.is_proj_inj]
+                     + [nodes["a1/b0"].module, nodes["a1"].module])
+    x = next(x for x in range(len(arq.nodes))
+             if str(exc.value).startswith(f"Hom(n{x}, n{y}) "))
+    assert arq.hom[x][t] > 0
+    assert str(exc.value) == (
+        f"Hom(n{x}, n{y}) has a basis of {arq.hom[x][y] + arq.hom[x][t]} "
+        f"maps, the mesh table dimension {arq.hom[x][y]}")
+    assert not tctx._steps
+
+
+@pytest.mark.parametrize("base,m", [("a2", 1), ("d4", 1)])
+def test_dropping_a_mesh_rep_fails_the_factorization_check(base, m,
+                                                           request):
+    """Every component a node step chooses is needed: without it some map
+    from the node into a target no longer factors through the others, and
+    the factorization check raises TheoremViolation naming the step and a
+    target.  The targets are the projective-injectives and two more
+    nodes of a tilting module."""
+    spec = ReplicationSpec(request.getfixturevalue(base), m)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    T = next(iter(_tilting_node_sets(tctx)))
+    dropped = 0
+    for x in range(len(arq.nodes)):
+        targets = [t for t in T if arq.hom[x][t]]
+        reps = tctx._mesh_reps(x, targets)
+        tctx._assert_mesh_approximation(x, targets, reps)
+        for k, (t, _) in enumerate(reps):
+            with pytest.raises(TheoremViolation) as exc:
+                tctx._assert_mesh_approximation(x, targets,
+                                                reps[:k] + reps[k + 1:])
+            # the first target in order whose maps no longer all factor:
+            # t, or one before it whose maps factored only through t
+            named = int(str(exc.value).split(" into n")[1].split(":")[0])
+            assert str(exc.value).startswith(
+                f"the approximation step at n{x} misses a morphism into "
+                f"n{named}: ")
+            assert named in targets and named <= t
+            assert exc.value.witness is arq.nodes[x].module
+            dropped += 1
+    assert dropped >= len(T)
+
+
+def _tilting_node_sets(tctx):
+    """The node sets of the tilting modules of tctx's spec, in the order
+    of compatible_sets."""
+    n = len(tctx.arq.nodes)
+    rank = tctx.spec.base.n * (tctx.spec.m + 1)
+    for ids in compatible_sets(n, tctx.node_compatible, rank):
+        if len(ids) == rank and tctx.is_tilting(
+                [tctx.arq.nodes[i].module for i in ids]):
+            yield ids
+
+
+def test_a_node_route_verdict_builds_no_hom_basis(d4, monkeypatch):
+    """A verdict on the node route, a complement search included, reads its
+    approximation steps off the mesh table: it makes no Hom basis,
+    composite vector or cokernel module."""
+    spec = ReplicationSpec(d4, 1)
+    arq = ARQuiver(spec)
+    tctx = TiltingContext(spec, arq=arq)
+    made = _counted(L, ("hom_basis_rep", "cokernel_rep"), monkeypatch.setattr)
+    _counted(tilting, ("_composite_vector",), monkeypatch.setattr, made)
+    pis = [node.module for node in arq.nodes if node.is_proj_inj]
+    rest = [node.module for node in arq.nodes if not node.is_proj_inj]
+    seen = Counter()
+    for k in range(len(rest)):
+        out = tctx.verdict(pis + rest[k:k + 2], want_complement=True)
+        seen["complement"] += "complement" in out
+        seen["exceptional"] += out["exceptional"]
+    assert seen["complement"] > 0 and seen["exceptional"] > 0
+    assert tctx._steps
+    assert not made
+
+
+def test_the_kronecker_route_builds_no_mesh_table(kronecker, monkeypatch):
+    """Without an AR quiver there is no mesh table: the Kronecker verdicts
+    and complements build none and memoize no node step."""
+    built = _counted(MeshTable, ("__init__", "_knit", "pull"),
+                     monkeypatch.setattr)
+    kctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    for cand in sample_faithful_exceptional(kctx, 6, 4):
+        out = kctx.verdict(cand, want_complement=True)
+        assert out["complement_verified"]
+    assert not built
+    assert not kctx._steps
 
 
 # -- Ext zeros read off the path order ----------------------------------------
