@@ -16,10 +16,13 @@ On a representation-finite base the complement falls back to exhaustive
 search over the AR quiver.
 
 Between two AR nodes X and Y most Ext questions are read off the path
-order: Ext^{>=1}(X, Y) = 0 when X is projective or Y is not <= tau X
-(path_ext_zero), and only the other pairs compute Ext groups.  A^(m) over a
-Dynkin base is representation-directed, so Hom(U, V) != 0 between
-indecomposables needs a path U -> ... -> V of the AR quiver, and tau V < V.
+order: Ext^{>=1}(X, Y) = 0 when X is projective, Y is injective or Y is not
+<= tau X (path_ext_zero), and only the other pairs compute Ext groups, each
+read off the mesh category on node ids (ARQuiver.ext); a pair of modules
+that are not both node modules computes them from the minimal resolution
+(layered.ext_dim).  A^(m) over a Dynkin base is representation-directed, so
+Hom(U, V) != 0 between indecomposables needs a path U -> ... -> V of the
+AR quiver, and tau V < V.
 For i = 1, Ext^1(X, Y) = D Hom-bar(Y, tau X) (Auslander-Reiten-Smalo
 IV.2.13) needs X non-projective and Y <= tau X.  For i >= 2 shift along the
 minimal injective coresolution 0 -> Y -> I^0 -> Sigma Y -> 0: Ext^i(X, Y) =
@@ -28,6 +31,8 @@ sequence pulled back to Z being non-split as I^0 is an essential extension
 of Y, so Y <= tau Z < Z.  By induction every summand Z of Sigma^{i-1} Y has
 Y < Z, and Ext^1(X, Z) != 0 needs Z <= tau X, so again Y <= tau X (Ringel,
 LNM 1099, 2.4).  No node X has X <= tau X, so every self pair is decided.
+The projective dimension and the projective-injective test of a node
+module are read from its node (ARQuiver.pd, Node.is_proj_inj).
 
 Each fact about a candidate is decided once.  basic() keeps one module per
 isomorphism class: with an AR quiver the class's node module (a summand
@@ -49,18 +54,18 @@ that Hom-support): stalled, or the AR nodes of its cokernel.  The
 Hom-support is read from the AR quiver's mesh Hom table (arq.hom).  A step
 builds no module and no Hom basis.  A^(m) over a Dynkin base is
 representation-directed and standard, so ind A^(m) is the mesh category of
-its AR quiver (Bongartz-Gabriel, Invent. Math. 1982; Ringel, LNM 1099,
-2.4), and a step reads only the integer mesh table arq.mesh
-(quiver.MeshTable): the Hom functors P_N = Hom(N, -), each dim P_N(M)
-checked against arq.hom, and the maps g*: P_T -> P_X, h -> h g, of the g
-in P_X(T).  The components of the approximation f: X -> T0 are the basis
-vectors of each P_X(T_j) outside the images of the g* from the other
+its AR quiver (Bongartz-Gabriel, Invent. Math. 1982; Ringel, LNM 1099, 2.4),
+and a step is the AR quiver's left step, which reads only the integer mesh
+table arq.mesh (quiver.MeshTable): the Hom functors P_N = Hom(N, -), each
+dim P_N(M) checked against arq.hom, and the maps g*: P_T -> P_X, h -> h g,
+of the g in P_X(T).  The components of the approximation f: X -> T0 are the
+basis vectors of each P_X(T_j) outside the images of the g* from the other
 targets (End T_j = k); their images must span every P_X(T_j), else
 TheoremViolation names the step.  f is mono when Hom(P, X) -> Hom(P, T0) is
-injective for every projective node P, and the multiplicity of a node Y in
-C = coker f is read by Auslander's formula dim Hom(C, Y) - dim Hom(C, E) +
-dim Hom(C, tau Y), E the middle term of the AR sequence ending in Y (rad Y,
-with no tau term, for a projective Y), from the ranks of the stacked g*_N:
+injective for every projective node P, and the multiplicity of a node Y in C
+= coker f is read by Auslander's formula dim Hom(C, Y) - dim Hom(C, E) + dim
+Hom(C, tau Y), E the middle term of the AR sequence ending in Y (rad Y, with
+no tau term, for a projective Y), from the ranks of the stacked g*_N:
 Hom(T0, N) -> Hom(X, N) (Auslander-Reiten-Smalo IV.4).  As approximations
 are additive, the chain of the projectives outside add T completes exactly
 when every one of them reaches zero within 2m+2 steps.  The module route
@@ -89,11 +94,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import le
 
 from . import layered as L
 from . import repa
-from .errors import ClosureIncomplete, NoComplementFound, TheoremViolation
+from .arquiver import named_dims
+from .errors import NoComplementFound, TheoremViolation
 from .linalg import Echelon, QMatrix
 from .quiver import ReplicationSpec, dynkin_type
 
@@ -155,22 +160,35 @@ class TiltingContext:
             for site in self.proj_sites}
         self.proj_inj = [self.projectives[(x, i)] for x, i in self.proj_sites
                          if i >= 1]
-        self.regular = L.lproj_sum(spec, tuple(self.proj_sites))
         # the node route's approximation steps per (node, Hom-support in T)
         self._steps = {}
         # the echelon span of the projective-injectives' annihilator rows,
         # reduced on first use (_annihilator_is_zero)
         self._pi_span = None
 
+    @cached_property
+    def regular(self):
+        """The regular module, the sum of every P(x, i): the default start of
+        approximation_chain, which only the module route runs."""
+        return L.lproj_sum(self.spec, tuple(self.proj_sites))
+
     def node_ids(self, summands):
         """The AR node index of every summand, in order, or None when the
         context has no AR quiver or some summand is isomorphic to no node:
-        whether the node route applies."""
+        whether the node route applies.  A node module is found by identity
+        (arq.node_id), any other summand by an isomorphism test."""
         if self.arq is None:
             return None
-        nodes = [self.arq._lookup(M) for M in summands]
-        return None if any(n is None for n in nodes) else \
-            [n.idx for n in nodes]
+        ids = []
+        for M in summands:
+            idx = self.arq.node_id(M)
+            if idx is None:
+                node = self.arq._lookup(M)
+                if node is None:
+                    return None
+                idx = node.idx
+            ids.append(idx)
+        return ids
 
     # -- candidates -----------------------------------------------------------
 
@@ -207,8 +225,16 @@ class TiltingContext:
         """(non-projective-injective part, projective-injective part)."""
         tprime, pi = [], []
         for s in summands:
-            (pi if L.is_proj_inj(s) else tprime).append(s)
+            i = self._node_of(s)
+            proj_inj = L.is_proj_inj(s) if i is None else \
+                self.arq.nodes[i].is_proj_inj
+            (pi if proj_inj else tprime).append(s)
         return tprime, pi
+
+    def _node_of(self, M):
+        """The id of M's AR node when M is a node module (by identity), else
+        None."""
+        return None if self.arq is None else self.arq.node_id(M)
 
     # -- exceptionality ---------------------------------------------------------
 
@@ -221,29 +247,31 @@ class TiltingContext:
 
     def path_ext_zero(self, x, y) -> bool:
         """Whether the path order shows Ext^{>=1}(node x, node y) = 0: x is
-        projective, or y is not <= tau x (see the module docstring)."""
+        projective, y is injective, or y is not <= tau x (see the module
+        docstring)."""
         t = self.arq.nodes[x].tau
-        return t is None or not self.arq.leq(y, t)
+        return t is None or self.arq.nodes[y].is_injective or \
+            not self.arq.leq(y, t)
+
+    def _node_degrees_vanish(self, x, y) -> bool:
+        """Ext^i(node x, node y) = 0 for 1 <= i <= 2m+1, read off the mesh
+        category (arq.ext)."""
+        return all(self.arq.ext(x, y, i) == 0
+                   for i in range(1, ext_horizon(self.spec) + 1))
 
     def node_ext_vanishes(self, x, y) -> bool:
         """ext_vanishes on node ids."""
-        nodes = self.arq.nodes
-        return self.path_ext_zero(x, y) or self._degrees_vanish(
-            [(nodes[x].module, nodes[y].module)])
+        return self.path_ext_zero(x, y) or self._node_degrees_vanish(x, y)
 
     def node_compatible(self, x, y) -> bool:
         """compatible on node ids: the path order first, then the degrees of
         the directions it leaves open."""
-        nodes = self.arq.nodes
-        return self._degrees_vanish([(nodes[a].module, nodes[b].module)
-                                     for a, b in ((x, y), (y, x))
-                                     if not self.path_ext_zero(a, b)])
+        return all(self.path_ext_zero(a, b) or self._node_degrees_vanish(a, b)
+                   for a, b in ((x, y), (y, x)))
 
     def _pair_ids(self, X, Y):
         """The node ids of X and Y when both are node modules, else None."""
-        if self.arq is None:
-            return None
-        x, y = self.arq.node_id(X), self.arq.node_id(Y)
+        x, y = self._node_of(X), self._node_of(Y)
         return None if x is None or y is None else (x, y)
 
     def ext_vanishes(self, X, Y) -> bool:
@@ -280,7 +308,13 @@ class TiltingContext:
         return True
 
     def pd(self, summands) -> int:
-        return max((L.pd_rep(s) for s in summands), default=0)
+        """The largest pd of a summand: arq.pd for a node module, else the
+        minimal resolution's."""
+        def pd(M):
+            i = self._node_of(M)
+            return L.pd_rep(M) if i is None else self.arq.pd(i)
+
+        return max(map(pd, summands), default=0)
 
     # -- faithfulness -------------------------------------------------------------
 
@@ -573,164 +607,25 @@ class TiltingContext:
         The minimal left approximation f: X -> T0 into add T needs only the
         T_j with Hom(X, T_j) != 0, so support (those T_j) fixes it.  A step
         reads only the mesh table arq.mesh, the Hom functors P_N = Hom(N, -)
-        of the mesh category, which is ind A^(m) as A^(m) is standard: its
-        components are chosen (_mesh_reps) and checked to be a left
-        approximation (_assert_mesh_approximation), f is tested mono through
-        the projective nodes (_mesh_mono), and its cokernel is read by
-        Auslander's formula (_mesh_cokernel).  No module is built.
+        of the mesh category, which is ind A^(m) as A^(m) is standard,
+        through the AR quiver's left step: its components are chosen
+        (arq._mesh_reps) and checked to be a left approximation
+        (arq._assert_mesh_approximation), f is tested mono through the
+        projective nodes (arq._mesh_mono), and its cokernel is read by
+        Auslander's formula (arq._mesh_cokernel).  No module is built.
         """
         key = idx, support
         if key in self._steps:
             return self._steps[key]
-        targets = sorted(support)
-        reps = self._mesh_reps(idx, targets)
+        arq, targets = self.arq, sorted(support)
+        reps = arq._mesh_reps(idx, targets)
         out = None
         if reps:
-            self._assert_mesh_approximation(idx, targets, reps)
-            if self._mesh_mono(idx, reps):
-                out = self._mesh_cokernel(idx, reps)
+            arq._assert_mesh_approximation(idx, targets, reps)
+            if arq._mesh_mono(idx, reps):
+                out = tuple(sorted(arq._mesh_cokernel(idx, reps)))
         self._steps[key] = out
         return out
-
-    def _mesh_reps(self, x, targets):
-        """The components (t, i) of the minimal left approximation of node x
-        into add of the nodes targets, each g = e_i a basis vector of
-        P_x(t) = Hom(x, t): those outside the span of the maps that factor
-        through a radical map into t, kept in basis order.  End t = k (the
-        row of t checks dim P_t(t) = 1 against arq.hom), so the radical
-        maps come from the other targets t2: the images of P_t2(t) under
-        g2* for g2 in P_x(t2)."""
-        mesh = self.arq.mesh
-        dims = mesh.row(x).dims
-        reps = []
-        for t in targets:
-            d = dims[t]
-            if not d:
-                continue
-            span = Echelon(d)
-            for t2 in targets:
-                if t2 == t or not dims[t2] or not mesh.row(t2).dims[t]:
-                    continue
-                for i in range(dims[t2]):
-                    for col in mesh.pull(x, t2, i)[t]:
-                        if span.rank < d:
-                            span.add(col)
-            for i in range(d):
-                unit = [0] * d
-                unit[i] = 1
-                if span.add(unit):
-                    reps.append((t, i))
-        return reps
-
-    def _assert_mesh_approximation(self, x, targets, reps):
-        """Every map x -> t, t in targets, must factor through the
-        approximation with components reps: the images of the P_t2(t)
-        under the g* of the reps (t2, g) span P_x(t), else TheoremViolation
-        names the step and the target."""
-        mesh = self.arq.mesh
-        dims = mesh.row(x).dims
-        pulls = [mesh.pull(x, t2, i) for t2, i in reps]
-        for t in targets:
-            span = Echelon(dims[t])
-            for g in pulls:
-                for col in g.get(t, ()):
-                    if span.rank == dims[t]:
-                        break
-                    span.add(col)
-            if span.rank < dims[t]:
-                raise TheoremViolation(
-                    f"the approximation step at n{x} misses a morphism into "
-                    f"n{t}: its components span {span.rank} of the "
-                    f"{dims[t]} dimensions of Hom(n{x}, n{t})",
-                    witness=self.arq.nodes[x].module)
-
-    def _mesh_mono(self, x, reps):
-        """Whether f: X -> T0 with components reps is mono: for every
-        projective node P, Hom(P, X) -> Hom(P, T0), u -> f u, is injective
-        (dim Hom(P(v, i), M) is the dimension of M at (v, i)).  The
-        component t of f u is u*(e_i) in P_P(t)."""
-        mesh = self.arq.mesh
-        for p in self._site_nodes.values():
-            dims = mesh.row(p).dims
-            d = dims[x]
-            if not d:
-                continue
-            span = Echelon(sum(dims[t] for t, _ in reps))
-            for u in range(d):
-                pulled = mesh.pull(p, x, u)
-                vec = []
-                for t, i in reps:
-                    if dims[t]:
-                        vec.extend(pulled[t][i])
-                span.add(vec)
-            if span.rank < d:
-                return False
-        return True
-
-    @cached_property
-    def _dim_vectors(self):
-        return [node.module.dim_vector() for node in self.arq.nodes]
-
-    def _mesh_cokernel(self, x, reps):
-        """The sorted AR nodes of the cokernel C of a mono step f at node x
-        with components reps = [(t_k, e_i)], e_i in P_x(t_k).
-
-        Hom(C, N) is the kernel of Hom(T0, N) -> Hom(X, N), h -> h f, so
-        dim Hom(C, N) is sum_k dim P_{t_k}(N) less the rank of the stacked
-        g_k*_N.  By Auslander's formula the multiplicity of Y in C is dim
-        Hom(C, Y) - dim Hom(C, E) + dim Hom(C, tau Y), with E the sum of the
-        in-arrows of Y (the middle term of the AR sequence ending in Y, or
-        rad Y when Y is projective, which has no tau term).  A summand Y of
-        C is a quotient of T0, so some P_{t_k}(Y) != 0, and dim Y <= dim C:
-        only those Y are tested.  The multiplicities must be
-        >= 0 and add up to dim C, else ClosureIncomplete names the step."""
-        arq, mesh = self.arq, self.arq.mesh
-        nodes, vectors = arq.nodes, self._dim_vectors
-        dims_x = mesh.row(x).dims
-        rows = [mesh.row(t).dims for t, _ in reps]
-        pulls = [mesh.pull(x, t, i) for t, i in reps]
-        left = [-a for a in vectors[x]]
-        for t, _ in reps:
-            left = [a + b for a, b in zip(left, vectors[t])]
-        hom_dims = {}
-
-        def hom(n):
-            """dim Hom(C, node n)."""
-            d = hom_dims.get(n)
-            if d is None:
-                d = sum(row[n] for row in rows)
-                if dims_x[n]:
-                    span = Echelon(dims_x[n])
-                    for g in pulls:
-                        for col in g.get(n, ()):
-                            if span.rank < dims_x[n]:
-                                span.add(col)
-                    d -= span.rank
-                hom_dims[n] = d
-            return d
-
-        mults = {}
-        for y in sorted(set().union(*(mesh.row(t).origin for t, _ in reps))):
-            if not all(map(le, vectors[y], left)):
-                continue
-            node = nodes[y]
-            mult = hom(y) - sum(mu * hom(e) for e, mu in arq.in_arrows[y])
-            if not node.is_projective:
-                mult += hom(node.tau)
-            if mult:
-                mults[y] = mult
-        rest = list(left)
-        for y, mult in mults.items():
-            rest = [a - mult * b for a, b in zip(rest, vectors[y])]
-        if any(rest) or any(mult < 0 for mult in mults.values()):
-            found = ", ".join(f"n{y}: {mult}"
-                              for y, mult in sorted(mults.items()))
-            raise ClosureIncomplete(
-                f"the cokernel of the approximation step at n{x} is no "
-                f"sum of AR nodes: multiplicities {{{found}}} leave "
-                f"dimension vector {_dims(self.spec, rest)}",
-                witness=nodes[x].module)
-        return tuple(sorted(mults))
 
     # -- tilting -------------------------------------------------------------------
 
@@ -884,7 +779,8 @@ class TiltingContext:
             try:
                 comp = self.bongartz_complement(summands)
                 out["complement"] = [
-                    {"dims": _dims(self.spec, X.dim_vector())} for X in comp]
+                    {"dims": named_dims(self.spec, X.dim_vector())}
+                    for X in comp]
                 out["complement_verified"] = True
             except NoComplementFound as exc:
                 out["complement_error"] = str(exc)
@@ -900,13 +796,6 @@ def _chain_overrun(spec, witness):
         f"the add T-coresolution of an exceptional module has not stalled "
         f"and has C_{g + 1} != 0, beyond the global dimension {g}",
         witness=witness)
-
-
-def _dims(spec, dims):
-    """The nonzero entries of a flat dimension vector (layer by layer, base
-    vertex order within a layer, as dim_vector) keyed "<vertex>_<layer>"."""
-    keys = [f"{v}_{l}" for l in range(spec.m + 1) for v in spec.base.vertices]
-    return {k: d for k, d in zip(keys, dims) if d}
 
 
 def _vectorize(f: L.LModMorphism):

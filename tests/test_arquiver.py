@@ -1,4 +1,7 @@
+import ast
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,13 +345,13 @@ def test_corrupted_cosyzygy_breaks_duality(a3):
         arq.check_syzygy_duality()
 
 
-def test_missing_cosyzygy_node_is_named(a3, monkeypatch):
+def test_missing_cosyzygy_node_is_named(a3):
+    """A cosyzygy that is no single node (here its node twice) stops the
+    next slice, and the violation names the node whose cosyzygy it is."""
     arq = ARQuiver(ReplicationSpec(a3, 2))
     i = arq.sigma_slice(0)[0]
-    lost = L.cosyzygy(arq.nodes[i].module).dim_vector()
-    lookup = arq._lookup
-    monkeypatch.setattr(arq, "_lookup", lambda M: None
-                        if M.dim_vector() == lost else lookup(M))
+    c = arq._cosyzygy(i).node
+    arq._cosyz[i] = arq._cosyz[i]._replace(cokernel={c: 2})
     with pytest.raises(ClosureIncomplete, match=rf"\bn{i}\b"):
         arq.sigma_slice(1)
 
@@ -366,18 +369,207 @@ def _counting(monkeypatch, name):
 
 
 def test_suites_read_the_memo(a3, monkeypatch):
+    """The suites take one Sigma step per node, off the mesh category: no
+    injective envelope, translate or other module is built."""
     arq = ARQuiver(ReplicationSpec(a3, 2))
-    tau_inv = _counting(monkeypatch, "tau_inv_rep")
-    envelopes = _counting(monkeypatch, "injective_envelope_rep")
+    built = [_counting(monkeypatch, name) for name in (
+        "tau_inv_rep", "injective_envelope_rep", "projective_cover_rep",
+        "cokernel_rep", "kernel_rep", "pd_rep", "is_iso_rep")]
+    steps = Counter()
+    cokernel = ARQuiver._mesh_cokernel
+
+    def counted(self, x, reps):
+        steps[x] += 1
+        return cokernel(self, x, reps)
+
+    monkeypatch.setattr(ARQuiver, "_mesh_cokernel", counted)
     assert arq.check_commutation()
-    assert not tau_inv
     assert arq.check_trichotomy()
     assert arq.check_syzygy_duality()
     arq.m_left_part()
     for k in range(arq.spec.m + 1):
         arq.sigma_slice(k)
     assert len(arq.fundamental_domain_labels()) == 2 * 6 + 3
-    assert 0 < len(envelopes) <= len(arq.nodes)
+    assert not any(built)
+    assert sorted(steps) == sorted(arq._cosyz)
+    assert 0 < len(steps) <= len(arq.nodes)
+    assert set(steps.values()) == {1}
+
+
+# -- Sigma, Omega, pd and Ext read off the mesh category ----------------------
+
+def _module_nodes(arq, M):
+    """The AR nodes of the indecomposable summands of M, node ->
+    multiplicity, by decomposing the module."""
+    if M.is_zero():
+        return {}
+    return dict(Counter(arq.find_node(s).idx for s in L.decompose_rep(M)))
+
+
+@pytest.mark.parametrize("name,m", [
+    ("a3", 1), ("a3", 2), ("d4", 1), ("d4", 2), ("a4", 2), ("two_sinks", 2),
+    pytest.param("e6", 1, marks=pytest.mark.slow)])
+def test_mesh_steps_match_the_modules(request, name, m):
+    """On every node, Sigma and its envelope, Omega and pd read off the
+    mesh category are the nodes of the module cosyzygy, injective envelope
+    and syzygy, and the length of the minimal resolution."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    injective = {n.inj_site: n.idx for n in arq.nodes if n.is_injective}
+    for node in arq.nodes:
+        M = node.module
+        sigma = arq._cosyzygy(node.idx)
+        I, _ = L.injective_envelope_rep(M)
+        assert sigma.envelope == dict(Counter(injective[site]
+                                              for site in I.members))
+        assert sigma.cokernel == _module_nodes(arq, L.cosyzygy(M))
+        assert arq._syzygy(node.idx) == _module_nodes(arq, L.syzygy(M))
+        assert arq.pd(node.idx) == L.pd_rep(M)
+
+
+@pytest.mark.parametrize("name,m", [("a3", 1), ("a3", 2), ("d4", 1)])
+def test_ext_matches_ext_dim(request, name, m):
+    """ARQuiver.ext equals the module Ext of the minimal resolution on every
+    pair of nodes in every degree 1..2m+1."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    nonzero = 0
+    for x in arq.nodes:
+        for y in arq.nodes:
+            for i in range(1, 2 * m + 2):
+                got = arq.ext(x.idx, y.idx, i)
+                assert got == L.ext_dim(x.module, y.module, i), (x.idx,
+                                                                 y.idx, i)
+                nonzero += got > 0
+    assert nonzero
+
+
+def _solve(columns, rhs):
+    """a with sum_j a_j columns[j] = rhs, by Gauss-Jordan over Fractions
+    (the columns are independent)."""
+    n = len(columns)
+    rows = [[Fraction(col[r]) for col in columns] + [Fraction(rhs[r])]
+            for r in range(len(rhs))]
+    for c in range(n):
+        p = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[c][n] for c in range(n)]
+
+
+@pytest.mark.parametrize("name,m", [("a3", 1), ("a3", 2), ("d4", 1),
+                                    ("two_sinks", 2)])
+def test_ext_satisfies_the_euler_form(request, name, m):
+    """sum_i (-1)^i dim Ext^i(X, Y) = <dim X, dim Y> for every pair of
+    nodes: Ext^0 is Hom, counted by the modules' Hom bases, and the Euler
+    form of A^(m), of global dimension <= 2m+1, is <x, y> = a . y for
+    x = C a, C the Cartan matrix whose columns are the dimension vectors of
+    the projective modules P(v, i) (dim Hom(P(v, i), Y) is the entry of
+    dim Y at (v, i))."""
+    spec = ReplicationSpec(request.getfixturevalue(name), m)
+    arq = ARQuiver(spec)
+    cartan = [L.projective_rep(spec, v, i).dim_vector()
+              for i in range(m + 1) for v in spec.base.vertices]
+    for x in arq.nodes:
+        a = _solve(cartan, x.module.dim_vector())
+        for y in arq.nodes:
+            form = sum(ai * yi for ai, yi in zip(a, y.module.dim_vector()))
+            euler = len(L.hom_basis_rep(x.module, y.module)) + sum(
+                (-1) ** i * arq.ext(x.idx, y.idx, i)
+                for i in range(1, 2 * m + 2))
+            assert euler == form, (x.idx, y.idx)
+
+
+def test_a_corrupted_mesh_block_names_its_node(a3):
+    """With the arrow maps into a non-projective node y zeroed in the row
+    of a projective p, the cover of y no longer reaches Hom(p, y): pd(y)
+    stops with TheoremViolation naming y and p."""
+    arq = ARQuiver(ReplicationSpec(a3, 1))
+    y = next(n.idx for n in arq.nodes if not n.is_projective)
+    p = next(p for p in arq._projective_ids if arq.hom[p][y])
+    row = arq.mesh.row(p)
+    row.blocks[y] = {e: [[0] * len(col) for col in cols]
+                     for e, cols in row.blocks[y].items()}
+    with pytest.raises(TheoremViolation) as exc:
+        arq.pd(y)
+    assert str(exc.value).startswith(
+        f"the projective cover of n{y} misses a map from n{p}: ")
+    assert exc.value.witness is arq.nodes[y].module
+
+
+@pytest.mark.parametrize("name,m", [("a3", 2), ("d4", 1)])
+def test_dropping_a_cover_component_fails_the_epi_check(request, name, m):
+    """Every component of a projective cover is needed: without it the
+    cover is no epimorphism, and the check names the node."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(name), m))
+    dropped = 0
+    for node in arq.nodes:
+        y = node.idx
+        projs = [p for p in arq._projective_ids if arq.hom[p][y]]
+        reps = arq._cover_reps(y, projs)
+        arq._assert_mesh_cover(y, projs, reps)
+        for k in range(len(reps)):
+            with pytest.raises(TheoremViolation) as exc:
+                arq._assert_mesh_cover(y, projs, reps[:k] + reps[k + 1:])
+            assert str(exc.value).startswith(
+                f"the projective cover of n{y} misses a map from n")
+            assert exc.value.witness is node.module
+            dropped += 1
+    assert dropped >= len(arq.nodes)
+
+
+def test_a_wrong_cosyzygy_multiset_names_its_node(a3):
+    """A Sigma multiset read wrong (another node in place of the cosyzygy)
+    breaks the syzygy duality at its node, which the violation names."""
+    arq = ARQuiver(ReplicationSpec(a3, 2))
+    i = next(n.idx for n in arq.nodes
+             if not n.is_injective and arq._cosyzygy(n.idx).pi_envelope)
+    c = arq._cosyzygy(i).node
+    wrong = next(n.idx for n in arq.nodes
+                 if n.idx != c and not n.is_projective)
+    arq._cosyz[i] = arq._cosyz[i]._replace(cokernel={wrong: 1})
+    with pytest.raises(TheoremViolation) as exc:
+        arq.check_syzygy_duality()
+    assert f"coresolution at n{i}: the syzygy of its cosyzygy n{wrong} " \
+        in str(exc.value)
+    assert exc.value.witness is arq.nodes[i].module
+
+
+_MODULE_STEPS = {"injective_envelope_rep", "projective_cover_rep",
+                 "cokernel_rep", "kernel_rep", "pd_rep", "syzygy",
+                 "cosyzygy", "is_iso_rep", "ext_dim"}
+
+
+def test_suites_and_pd_build_no_module():
+    """AST guard: no theorem suite, nor pd, ext or the slices, reaches
+    (through the ARQuiver methods it calls) a module envelope, cover,
+    cokernel, resolution or isomorphism test, or the build."""
+    tree = ast.parse(Path(arquiver.__file__).read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "ARQuiver")
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    reached = set()
+    todo = [name for name in methods if name.startswith("check_")]
+    todo += ["pd", "projective_dimension", "ext", "sigma_slice",
+             "m_left_part", "fundamental_domain_labels"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id == "self" \
+                    and node.attr in methods:
+                todo.append(node.attr)
+    assert {"_cosyzygy", "_syzygy", "_mesh_kernel"} <= reached
+    assert not reached & {"_build", "_lookup", "find_node"}
+    for name in sorted(reached):
+        called = {node.attr for node in ast.walk(methods[name])
+                  if isinstance(node, ast.Attribute)}
+        assert not called & _MODULE_STEPS, name
 
 
 # -- an oracle that shares no code with the build ----------------------------

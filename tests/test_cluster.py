@@ -3,10 +3,12 @@ from collections import Counter
 import pytest
 
 from replhom import layered as L
+from replhom.arquiver import ARQuiver
 from replhom.cluster import (ClusterContext, ClusterObject, pi_object,
                              verify_bijection)
 from replhom.errors import NotSupported
 from replhom.quiver import ReplicationSpec
+from replhom.tilting import TiltingContext, compatible_sets
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +174,11 @@ def test_verify_bijection_builds_the_pair_table_once(spec_a2_m1,
 
 
 def test_verify_bijection_builds_each_ext_differential_once(a3, monkeypatch):
-    """The rank of Hom(d_k, N) is cached per (M, N): across the whole run,
-    no differential of a resolution is rebuilt against the same N."""
+    """verify_bijection reads every Ext off the mesh category (ARQuiver.ext)
+    and builds no differential of a resolution.  The module route, here a
+    context without an AR quiver enumerating the same compatible sets,
+    caches the rank of Hom(d_k, N) per (M, N): no differential is rebuilt
+    against the same N."""
     built = Counter()
     original = L._ext_differential
 
@@ -182,6 +187,18 @@ def test_verify_bijection_builds_each_ext_differential_once(a3, monkeypatch):
         return original(P_k, P_km1, d, N)
 
     monkeypatch.setattr(L, "_ext_differential", counting)
-    report = verify_bijection(ReplicationSpec(a3, 1))
+    spec = ReplicationSpec(a3, 1)
+    arq = ARQuiver(spec)
+    report = verify_bijection(spec, arq=arq)
     assert report["module_side_count"] == 14
+    assert not built
+
+    tctx = TiltingContext(spec)
+    mods = [node.module for node in arq.nodes]
+    on_modules = list(compatible_sets(
+        len(mods), lambda a, b: tctx.compatible(mods[a], mods[b]),
+        spec.base.n * (spec.m + 1)))
+    node_tctx = TiltingContext(spec, arq=arq)
+    assert on_modules == list(compatible_sets(
+        len(mods), node_tctx.node_compatible, spec.base.n * (spec.m + 1)))
     assert built and max(built.values()) == 1

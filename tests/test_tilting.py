@@ -343,10 +343,12 @@ def _node_route_comparisons(spec, arq, asked, work):
             assert got_asked["node_ext_vanishes"] < \
                 public_asked["node_ext_vanishes"]
             assert got_asked["_lookup"] < public_asked["_lookup"]
+            # node lists compute no module Ext group: each open pair is
+            # read off the mesh category (ARQuiver.ext)
+            assert "ext_dim" not in public_work and "ext_dim" not in got_work
             out.append((not all(tctx.path_ext_zero(x, y)
                                 for x in ids for y in ids),
-                        public_work.get("ext_dim", 0),
-                        got_work.get("ext_dim", 0)))
+                        public_work.get("ext", 0), got_work.get("ext", 0)))
     return out
 
 
@@ -368,9 +370,11 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
     _counted(ARQuiver, ("_lookup",), monkeypatch.setattr, asked)
     work = _counted(L, ("ext_dim", "is_iso_rep"), monkeypatch.setattr)
     # the path order (TiltingContext.path_ext_zero) decides most pairs, and
-    # only the pairs it leaves open cost Ext groups.  The complement search
-    # asks the same of both routes, so the verdict computes fewer Ext
-    # groups exactly when a pair of the candidate itself is open.
+    # only the pairs it leaves open cost Ext groups, each read off the mesh
+    # category on node ids (ARQuiver.ext).  The complement search asks the
+    # same of both routes, so the verdict computes fewer Ext groups exactly
+    # when a pair of the candidate itself is open.
+    _counted(ARQuiver, ("ext",), monkeypatch.setattr, work)
     spec_a3 = ReplicationSpec(a3, 1)
     seen = Counter()
     for spec, arq in ((spec_a2_m1, arq_a2_m1), (spec_a3, ARQuiver(spec_a3))):
@@ -546,8 +550,8 @@ def _reduced_chain_cases(q, m, stride=1, sample=None):
     mods = [node.module for node in arq.nodes]
     rank = q.n * (m + 1)
     seen = Counter()
-    calls = _counted(tctx, ("approximation_chain", "_approximation_reps",
-                            "_mesh_reps"))
+    calls = _counted(tctx, ("approximation_chain", "_approximation_reps"))
+    _counted(arq, ("_mesh_reps",), counts=calls)
 
     def pair_ok(a, b):
         return tctx.compatible(mods[a], mods[b])
@@ -953,12 +957,12 @@ def test_dropping_a_mesh_rep_fails_the_factorization_check(base, m,
     dropped = 0
     for x in range(len(arq.nodes)):
         targets = [t for t in T if arq.hom[x][t]]
-        reps = tctx._mesh_reps(x, targets)
-        tctx._assert_mesh_approximation(x, targets, reps)
+        reps = arq._mesh_reps(x, targets)
+        arq._assert_mesh_approximation(x, targets, reps)
         for k, (t, _) in enumerate(reps):
             with pytest.raises(TheoremViolation) as exc:
-                tctx._assert_mesh_approximation(x, targets,
-                                                reps[:k] + reps[k + 1:])
+                arq._assert_mesh_approximation(x, targets,
+                                               reps[:k] + reps[k + 1:])
             # the first target in order whose maps no longer all factor:
             # t, or one before it whose maps factored only through t
             named = int(str(exc.value).split(" into n")[1].split(":")[0])
@@ -985,7 +989,7 @@ def _tilting_node_sets(tctx):
 def test_a_node_route_verdict_builds_no_hom_basis(d4, monkeypatch):
     """A verdict on the node route, a complement search included, reads its
     approximation steps off the mesh table: it makes no Hom basis,
-    composite vector or cokernel module."""
+    composite vector or cokernel module, and no regular module."""
     spec = ReplicationSpec(d4, 1)
     arq = ARQuiver(spec)
     tctx = TiltingContext(spec, arq=arq)
@@ -1001,6 +1005,7 @@ def test_a_node_route_verdict_builds_no_hom_basis(d4, monkeypatch):
     assert seen["complement"] > 0 and seen["exceptional"] > 0
     assert tctx._steps
     assert not made
+    assert "regular" not in vars(tctx)
 
 
 def test_the_kronecker_route_builds_no_mesh_table(kronecker, monkeypatch):
@@ -1023,20 +1028,26 @@ def test_the_kronecker_route_builds_no_mesh_table(kronecker, monkeypatch):
     pytest.param("e6", 1, marks=pytest.mark.slow)])
 def test_path_order_ext_zeros_are_zeros(request, name, m):
     """Every ordered pair of AR nodes, a node with itself included, that
-    the path order decides (x projective, or y not <= tau x) has no Ext in
-    any degree 1..2m+1.  It decides every self pair, and most pairs."""
+    the path order decides (x projective, y injective, or y not <= tau x)
+    has no Ext in any degree 1..2m+1.  It decides every self pair, and most
+    pairs.  Some pairs with y <= tau x are decided because y is injective:
+    they are open without that rule, and each has no Ext either."""
     spec = ReplicationSpec(request.getfixturevalue(name), m)
     arq = ARQuiver(spec)
     tctx = TiltingContext(spec, arq=arq)
-    decided = 0
+    decided = by_injective = 0
     for x in arq.nodes:
         assert tctx.path_ext_zero(x.idx, x.idx)
         for y in arq.nodes:
             if tctx.path_ext_zero(x.idx, y.idx):
                 decided += 1
+                by_injective += x.tau is not None and arq.leq(y.idx, x.tau)
                 assert not any(L.ext_dim(x.module, y.module, i)
                                for i in range(1, 2 * m + 2)), (x.idx, y.idx)
     assert decided > len(arq.nodes) ** 2 / 2
+    assert by_injective > 0
+    if (name, m) == ("d4", 1):
+        assert by_injective == 47
 
 
 def test_kronecker_route_computes_every_ext_group(kronecker, monkeypatch):
