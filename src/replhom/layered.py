@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import repa
 from .errors import (IndexOutOfRange, InjectiveInput, ProjectiveInput,
                      ZeroModule)
-from .linalg import QMatrix, span_basis
+from .linalg import QMatrix, SparseMatrix, span_basis
 from .quiver import ReplicationSpec
 from .repa import (AMorphism, ARep, compose, hom_basis, injective,
                    inj_sum_of, nu_data, nu_module, nu_morphism, projective,
@@ -1001,10 +1001,11 @@ def _hom_from_proj_dim(P: LProjSum, N: LayeredModule) -> int:
 
 
 def _ext_differential(P_k: LProjSum, P_km1: LProjSum, d: LModMorphism,
-                      N: LayeredModule) -> QMatrix:
+                      N: LayeredModule) -> SparseMatrix:
     """Matrix of Hom(d, N): Hom(P_{k-1}, N) -> Hom(P_k, N) in generator
-    coordinates.  Block (alpha, beta) is sum c_u N(u) for a "same" block of
-    lproj_blocks and sum c_u u*_N (dual_path_action) for a "cross" one."""
+    coordinates, in sparse rows.  Block (alpha, beta) is sum c_u N(u) for a
+    "same" block of lproj_blocks and sum c_u u*_N (dual_path_action) for a
+    "cross" one."""
     def offsets(P):
         offs = [0]
         for x, i in P.members:
@@ -1012,7 +1013,7 @@ def _ext_differential(P_k: LProjSum, P_km1: LProjSum, d: LModMorphism,
         return offs
 
     row_offs, col_offs = offsets(P_k), offsets(P_km1)
-    out = QMatrix.zeros(row_offs[-1], col_offs[-1])
+    rows = [{} for _ in range(row_offs[-1])]
     for alpha, beta, kind, coeffs in lproj_blocks(P_k, P_km1, d):
         x, i = P_k.members[alpha]
         y, _ = P_km1.members[beta]
@@ -1020,10 +1021,11 @@ def _ext_differential(P_k: LProjSum, P_km1: LProjSum, d: LModMorphism,
         for u, c in coeffs.items():
             act = N.layers[i].path_matrix(y, u) if kind == "same" else \
                 dual_path_action(N, i + 1, u, x, y)
-            for orow, arow in zip(out.data[row_offs[alpha]:], act.data):
+            for orow, arow in zip(rows[row_offs[alpha]:], act.data):
                 for t, a in enumerate(arow):
-                    orow[co + t] += c * a
-    return out
+                    if a:
+                        orow[co + t] = orow.get(co + t, _ZERO) + c * a
+    return SparseMatrix(col_offs[-1], rows)
 
 
 def ext_dim(M: LayeredModule, N: LayeredModule, i: int) -> int:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything downstream (Hom spaces, syzygies, Ext groups) reduces to the
 kernels, ranks and solves implemented here.  Arithmetic is exact: an entry is
@@ -9,6 +9,13 @@ on integer-scaled rows with a deterministic first-nonzero pivot, so every
 basis this module returns is reproducible.  Kernels, solutions and span bases
 are read off one integer reduced echelon form: each answer entry is a single
 quotient of two entries of one row, with no back-substitution in fractions.
+
+A matrix is dense (QMatrix, a list of rows) or sparse (SparseMatrix, a dict
+{column: entry} per row, for large systems that are almost all zeros, such
+as the commuting-square system of a Hom space).  The caller that builds a
+system picks its form.  Both forms eliminate to the same pivot columns and
+reduced rows up to scaling, and one reader turns those into the kernel
+basis, so a kernel or rank does not depend on the form.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["QMatrix", "NoSolution", "Echelon", "frac", "quo", "span_basis"]
+__all__ = ["QMatrix", "SparseMatrix", "NoSolution", "Echelon", "frac", "quo",
+           "span_basis"]
 
 _ZERO = 0
 _ONE = 1
@@ -152,6 +160,85 @@ def _reduce_upward(rows, pivots):
                 rk[j] -= b * x
             g = gcd(*rk)
             rows[k] = [x // g for x in rk] if g > 1 else rk
+
+
+def _read_kernel(ncols, pivots, rows):
+    """The canonical kernel basis (see QMatrix.kernel_basis) read off a
+    reduced integer echelon form: rows[i] has its pivot at column pivots[i]
+    and is zero at every other pivot column.  A row is a dense list or a
+    sparse {column: entry} dict."""
+    pivset = set(pivots)
+    free = [fc for fc in range(ncols) if fc not in pivset]
+    slot = {fc: j for j, fc in enumerate(free)}
+    K = QMatrix(ncols, len(free))
+    out = K.data
+    for fc, j in slot.items():
+        out[fc][j] = _ONE
+    for pc, row in zip(pivots, rows):
+        pv, orow = row[pc], out[pc]
+        for fc, x in (row.items() if type(row) is dict else enumerate(row)):
+            if x and fc != pc:
+                orow[slot[fc]] = quo(-x, pv)
+    return K
+
+
+def _clear(row, prow, c):
+    """The sparse integer row less the multiple of prow that clears its
+    column c, divided by its content; prow is nonzero at c.  Reuses row."""
+    f, pv = row[c], prow[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        row = {j: x * a for j, x in row.items()}
+    for j, x in prow.items():
+        v = row.get(j, _ZERO) - b * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    if row:
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
+    return row
+
+
+def _sparse_echelon(data):
+    """Fraction-free forward elimination of sparse rows, as {pivot column:
+    integer row}.
+
+    Each row of data, cleared of denominators, is reduced against the
+    pivots in column order until its first nonzero column holds none; it
+    becomes that column's pivot row, and a row reduced to zero is dropped.
+    The pivot columns are those of _echelon on the dense rows: the columns
+    at which the rank of the leading columns rises."""
+    pivots = {}
+    for row in data:
+        cols = [j for j, x in row.items() if x]
+        if not cols:
+            continue
+        row = dict(zip(cols, _int_row([row[j] for j in cols])))
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            row = _clear(row, prow, c)
+    return pivots
+
+
+def _sparse_reduce_upward(pivots):
+    """Finish a _sparse_echelon form to a reduced one, in place.
+
+    From the last pivot up, each row is cleared at every later pivot column
+    it holds, against rows already reduced: those are zero at every other
+    pivot column, so one clearing never brings back another."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            row = _clear(row, pivots[j], j)
+        pivots[c] = row
 
 
 def span_basis(vectors, n):
@@ -416,7 +503,7 @@ class QMatrix:
         rows = _int_rows(self.data)
         return len(_echelon(rows, self.cols))
 
-    def kernel_basis(self, overwrite=False) -> "QMatrix":
+    def kernel_basis(self) -> "QMatrix":
         """Columns form a basis of the right null space {v : M v = 0}.
 
         Canonical form: for each free column f (in increasing order) the
@@ -427,38 +514,18 @@ class QMatrix:
         entry depends only on later entries, so the free columns are the
         positions where null vectors can have their last nonzero entry, and
         the basis is that space's unique echelon basis read from the last
-        column backwards (span_basis computes it from a spanning set).
-
-        With overwrite=True the elimination runs in this matrix's own rows,
-        each replaced by its integer form as it is read, so a large system
-        is never held twice; the matrix is left empty (0 x 0).
+        column backwards (span_basis computes it from a spanning set, and
+        SparseMatrix.kernel_basis from sparse rows).
         """
         if self.cols == 0:
             return QMatrix(0, 0)
         if self.rows == 0:
             return QMatrix.identity(self.cols)
         ncols = self.cols
-        if overwrite:
-            rows = self.data
-            for i, row in enumerate(rows):
-                rows[i] = _int_row(row)
-            self.rows, self.cols, self.data = 0, 0, []
-        else:
-            rows = _int_rows(self.data)
+        rows = _int_rows(self.data)
         pivots = _echelon(rows, ncols)
         _reduce_upward(rows, pivots)
-        pivset = set(pivots)
-        free = [fc for fc in range(ncols) if fc not in pivset]
-        K = QMatrix(ncols, len(free))
-        out = K.data
-        for j, fc in enumerate(free):
-            out[fc][j] = _ONE
-            for pc, row in zip(pivots, rows):
-                if pc > fc:
-                    break
-                if row[fc]:
-                    out[pc][j] = quo(-row[fc], row[pc])
-        return K
+        return _read_kernel(ncols, pivots, rows)
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix":
         """Solve M X = B for X; canonical solution with free variables 0.
@@ -527,3 +594,32 @@ class QMatrix:
     def to_lists(self):
         """Nested lists with entries as "p/q" strings (ints stay "p")."""
         return [[str(x) for x in row] for row in self.data]
+
+
+class SparseMatrix:
+    """Matrix of exact rationals held as sparse rows, with shape (rows,
+    cols): each row a dict {column: entry} of ints and Fractions, where a
+    missing column is a zero.
+
+    For large systems with few nonzeros per row, such as the
+    commuting-square systems of Hom spaces.  rank and kernel_basis equal
+    QMatrix's on the same entries: the elimination is fraction-free on
+    integer rows as there, and kernel_basis's answer depends only on the
+    null space and is read by the same reader."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, cols: int, data):
+        self.rows = len(data)
+        self.cols = cols
+        self.data = data
+
+    def rank(self) -> int:
+        return len(_sparse_echelon(self.data))
+
+    def kernel_basis(self) -> QMatrix:
+        """The basis QMatrix.kernel_basis gives, as a QMatrix."""
+        pivots = _sparse_echelon(self.data)
+        _sparse_reduce_upward(pivots)
+        cols = sorted(pivots)
+        return _read_kernel(self.cols, cols, [pivots[c] for c in cols])

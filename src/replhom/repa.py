@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InjectiveInput, NotSupported, ProjectiveInput, ZeroModule
-from .linalg import Echelon, QMatrix, _int_row, frac, quo, span_basis
+from .linalg import (Echelon, QMatrix, SparseMatrix, _int_row, frac, quo,
+                     span_basis)
 from .quiver import Quiver, dynkin_type
 
 _ZERO = 0
@@ -317,26 +318,26 @@ def hom_basis(M: ARep, N: ARep):
     if total == 0:
         basis = []
     else:
-        # on large modules this system is the biggest allocation of the
-        # library: it is filled in place and eliminated in its own rows
-        system = QMatrix(sum(N.dim[t] * M.dim[s] for _, s, t in q.arrows),
-                         total)
-        r = 0
+        # one equation per arrow a: s -> t and entry (i, jj) of
+        # N(a) h_s - h_t M(a), in sparse rows: on large modules the system
+        # is mostly zeros
+        rows = []
         for a, s, t in q.arrows:
-            na, ma = N.mats[a], M.mats[a]
+            na, ma = N.mats[a].data, M.mats[a].data
+            ms, mt = M.dim[s], M.dim[t]
             for i in range(N.dim[t]):
-                for jj in range(M.dim[s]):
-                    row = system.data[r]
-                    r += 1
-                    for k in range(N.dim[s]):
-                        c = na.data[i][k]
+                for jj in range(ms):
+                    row = {}
+                    for k, c in enumerate(na[i]):
                         if c:
-                            row[offsets[s] + k * M.dim[s] + jj] += c
-                    for l in range(M.dim[t]):
-                        c = ma.data[l][jj]
+                            row[offsets[s] + k * ms + jj] = c
+                    for l in range(mt):
+                        c = ma[l][jj]
                         if c:
-                            row[offsets[t] + i * M.dim[t] + l] -= c
-        ker = system.kernel_basis(overwrite=True)
+                            col = offsets[t] + i * mt + l
+                            row[col] = row.get(col, _ZERO) - c
+                    rows.append(row)
+        ker = SparseMatrix(total, rows).kernel_basis()
         basis = _morphisms(M, N, [ker.col(c) for c in range(ker.cols)])
     cache[id(N)] = (N, basis)
     return basis

@@ -35,7 +35,8 @@ The projective dimension and the projective-injective test of a node
 module are read from its node (ARQuiver.pd, Node.is_proj_inj).
 
 Each fact about a candidate is decided once.  basic() keeps one module per
-isomorphism class: with an AR quiver the class's node module (a summand
+isomorphism class: with an AR quiver the class's node module (a node
+module by identity, any other summand by an isomorphism test; a summand
 isomorphic to no node is split into its indecomposable summands, each a
 node over the representation-finite base), without one the context's
 P(x, i) for a summand isomorphic to it.  So the methods reading a basic
@@ -196,13 +197,15 @@ class TiltingContext:
         """The summands up to isomorphism, in order of first appearance,
         each replaced by the one module the context keeps for its class.
 
-        With an AR quiver that is the node module of the class; a summand
-        isomorphic to no node is first split into its indecomposable
-        summands, each a node over the representation-finite base.  Without
-        one it is projectives[(x, i)] for a summand isomorphic to P(x, i),
-        else the first summand of the class in the list; the summands must
-        then be indecomposable, as sites_outside and the approximations
-        assume.  The methods that read a basic list compare its modules by
+        With an AR quiver that is the node module of the class: a node
+        module is its own (arq.node_id, an identity test), any other summand
+        is looked up by an isomorphism test, and one isomorphic to no node
+        is first split into its indecomposable summands, each a node over
+        the representation-finite base.  Without one it is
+        projectives[(x, i)] for a summand isomorphic to P(x, i), else the
+        first summand of the class in the list; the summands must then be
+        indecomposable, as sites_outside and the approximations assume.
+        The methods that read a basic list compare its modules by
         identity."""
         if isinstance(summands, BasicExceptional):
             return summands
@@ -211,6 +214,8 @@ class TiltingContext:
             if self.arq is None:
                 known = [*self.projectives.values(), *out]
                 parts = [next((t for t in known if L.is_iso_rep(s, t)), s)]
+            elif self.arq.node_id(s) is not None:
+                parts = [s]
             else:
                 node = self.arq._lookup(s)
                 parts = [node.module] if node is not None else [

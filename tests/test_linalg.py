@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from replhom import layered as L
 from replhom import repa
-from replhom.linalg import (Echelon, NoSolution, QMatrix, _echelon, _int_row,
-                            _int_rows, frac, quo, span_basis)
+from replhom.arquiver import ARQuiver
+from replhom.linalg import (Echelon, NoSolution, QMatrix, SparseMatrix,
+                            _echelon, _int_row, _int_rows, frac, quo,
+                            span_basis)
+from replhom.quiver import ReplicationSpec
+from replhom.tilting import TiltingContext, sample_faithful_exceptional
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "replhom"
 
@@ -51,22 +56,6 @@ def test_kernel_rank_one():
     assert k.cols == 1
     assert k.col(0) == [Fraction(-2), Fraction(1)]
     assert (m * k).is_zero()
-
-
-def test_kernel_overwrite_matches_and_empties_the_matrix():
-    rng = random.Random(3)
-    data = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(7)]
-            for _ in range(4)]
-    data[3] = [a + 2 * b for a, b in zip(data[0], data[1])]
-    kept = QMatrix(4, 7, data)
-    scratch = QMatrix(4, 7, data)
-    k = scratch.kernel_basis(overwrite=True)
-    assert k.data == kept.kernel_basis().data
-    assert k.cols == 4
-    assert (kept * k).is_zero()
-    assert (scratch.rows, scratch.cols, scratch.data) == (0, 0, [])
-    assert QMatrix(0, 3).kernel_basis(overwrite=True).data == \
-        QMatrix.identity(3).data
 
 
 def test_span_basis_is_the_kernel_basis():
@@ -486,3 +475,176 @@ def test_no_true_division_outside_quo():
                       if id(d) not in allowed]
     assert allowed, "linalg.quo not found"
     assert offenders == []
+
+
+# -- sparse rows against the dense elimination -------------------------------
+
+
+def _sparse(m):
+    """The QMatrix m as a SparseMatrix of its nonzero entries."""
+    return SparseMatrix(m.cols, [{j: x for j, x in enumerate(row) if x}
+                                 for row in m.data])
+
+
+def _dense(sm):
+    return QMatrix(sm.rows, sm.cols,
+                   [[row.get(j, 0) for j in range(sm.cols)]
+                    for row in sm.data] or None)
+
+
+def _agrees_with_dense(sm):
+    """The sparse rank and kernel equal the dense ones on the same entries,
+    and the sparse rows are left as they were."""
+    before = [dict(row) for row in sm.data]
+    m = _dense(sm)
+    assert sm.rank() == m.rank()
+    ker = sm.kernel_basis()
+    _same_exact(ker, m.kernel_basis())
+    assert sm.data == before
+    return ker
+
+
+def _random_sparse(rng, r, c, density, fractions):
+    """A seeded random r x c matrix at about the given density, with int
+    or Fraction entries, some zero rows and some duplicated or rescaled
+    rows."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = rng.choice((1, -1, 2, -2, 3, 5, -7))
+        return Fraction(x, rng.choice((1, 2, 3))) if fractions else x
+
+    data = [[entry() for _ in range(c)] for _ in range(r)]
+    for i in range(r):
+        u = rng.random()
+        if u < 0.1:
+            data[i] = [0] * c
+        elif i and u < 0.3:
+            k = rng.choice((1, -2, Fraction(1, 3))) if fractions else \
+                rng.choice((1, -2, 3))
+            data[i] = [k * x for x in data[rng.randrange(i)]]
+    return QMatrix(r, c, data or None)
+
+
+def test_sparse_kernel_and_rank_match_the_dense_ones():
+    rng = random.Random(42)
+    shapes = [(0, 5), (4, 0), (0, 0), (1, 1), (3, 3)]
+    shapes += [(rng.randint(5, 25), rng.randint(40, 90)) for _ in range(30)]
+    shapes += [(rng.randint(40, 90), rng.randint(5, 25)) for _ in range(30)]
+    kinds = set()
+    for n, (r, c) in enumerate(shapes):
+        density = (0.01, 0.03, 0.1)[n % 3]
+        fractions = n % 2 == 1
+        m = _random_sparse(rng, r, c, density, fractions)
+        ker = _agrees_with_dense(_sparse(m))
+        assert ker == back_substitution_kernel(m)
+        kinds.add(("wide" if r < c else "tall" if r > c else "square",
+                   fractions, ker.cols == 0, ker.cols == c))
+    # dense small matrices too, so that rows fill in as they are reduced
+    for r, c in _shapes(rng):
+        _agrees_with_dense(_sparse(_random_matrix(rng, r, c)))
+    assert {k[:2] for k in kinds} >= {("wide", False), ("wide", True),
+                                      ("tall", False), ("tall", True)}
+    assert any(k[2] for k in kinds) and any(k[3] for k in kinds)
+    assert any(not k[2] and not k[3] for k in kinds)
+
+
+def test_sparse_rows_may_hold_zeros_and_fractions():
+    sm = SparseMatrix(4, [{0: 0, 2: Fraction(1, 2), 3: 1}, {}, {2: 1, 3: 2},
+                          {1: 0}])
+    assert _agrees_with_dense(sm) == QMatrix(
+        4, 3, [[1, 0, 0], [0, 1, 0], [0, 0, -2], [0, 0, 1]])
+    assert sm.rank() == 1
+    assert SparseMatrix(3, []).kernel_basis() == QMatrix.identity(3)
+    assert SparseMatrix(0, [{}, {}]).kernel_basis() == QMatrix(0, 0)
+    assert SparseMatrix(3, [{}, {}]).rank() == 0
+
+
+def _recording(monkeypatch, owners):
+    """Every SparseMatrix the modules owners build, recorded in a list."""
+    built = []
+
+    def record(cols, data):
+        sm = SparseMatrix(cols, data)
+        built.append(sm)
+        return sm
+
+    for owner in owners:
+        monkeypatch.setattr(owner, "SparseMatrix", record)
+    return built
+
+
+@pytest.mark.parametrize("base", ["a3", "d4"])
+def test_sparse_kernels_of_node_hom_systems(base, request, monkeypatch):
+    """The commuting-square systems of Hom between the distinct layers of
+    the AR nodes (m = 1), and of End of their direct sum, eliminate to the
+    dense kernels and ranks."""
+    arq = ARQuiver(ReplicationSpec(request.getfixturevalue(base), 1))
+    layers = {}
+    for node in arq.nodes:
+        for X in node.module.layers:
+            if not X.is_zero():
+                layers.setdefault(str(X.to_dict()), X)
+    layers = list(layers.values())
+    built = _recording(monkeypatch, [repa])
+    for X in layers:
+        for Y in layers:
+            # fresh modules: no cached Hom basis
+            repa.hom_basis(repa.ARep(X.quiver, X.dim, X.mats),
+                           repa.ARep(Y.quiver, Y.dim, Y.mats))
+    S = repa.direct_sum_plain(layers)
+    repa.hom_basis(S, S)
+    # one system per pair whose supports meet, one for the sum
+    assert len(built) == 1 + sum(
+        any(X.dim[v] and Y.dim[v] for v in X.quiver.vertices)
+        for X in layers for Y in layers)
+    for sm in built:
+        _agrees_with_dense(sm)
+
+
+@pytest.fixture
+def kronecker_bound8(kronecker):
+    ctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    return ctx, sample_faithful_exceptional(ctx, 8, 20)
+
+
+def test_sparse_kernels_of_kronecker_systems(kronecker_bound8, monkeypatch):
+    """Every Hom system and Hom(d_k, N) matrix of the complements of the
+    bound-8 Kronecker samples 8 to 11 eliminates to the dense kernel and
+    rank."""
+    ctx, samples = kronecker_bound8
+    built = _recording(monkeypatch, [repa, L])
+    for i in (8, 9, 10, 11):
+        ctx.bongartz_complement(samples[i])
+    assert max(sm.rows * sm.cols for sm in built) > 10 ** 6
+    for sm in built:
+        _agrees_with_dense(sm)
+
+
+def test_hom_basis_builds_no_matrix_larger_than_its_kernel(kronecker_bound8,
+                                                           monkeypatch):
+    """repa.hom_basis holds its system as sparse rows: on the complement
+    of Kronecker sample 8 no QMatrix it builds has more cells than the
+    kernel it returns (dim of the unknowns x dim Hom)."""
+    ctx, samples = kronecker_bound8
+    calls, largest = [], [0]
+    new, hom_basis = QMatrix.__init__, repa.hom_basis
+
+    def counting_new(self, rows, cols, data=None):
+        largest[0] = max(largest[0], rows * cols)
+        new(self, rows, cols, data)
+
+    def measured(M, N):
+        largest[0] = 0
+        basis = hom_basis(M, N)
+        unknowns = sum(M.dim[v] * N.dim[v] for v in M.quiver.vertices)
+        calls.append((largest[0], unknowns, len(basis)))
+        return basis
+
+    monkeypatch.setattr(QMatrix, "__init__", counting_new)
+    for owner in (repa, L):
+        monkeypatch.setattr(owner, "hom_basis", measured)
+    ctx.bongartz_complement(samples[8])
+    assert max(unknowns for _, unknowns, _ in calls) > 1000
+    for cells, unknowns, dim in calls:
+        assert cells <= unknowns * dim

@@ -2,10 +2,12 @@
 
 The SHA-256 of the `ar-quiver` DOT and JSON files on E7 with m = 1 and of
 the `verify` report on E6 with m = 1, recorded before integral matrix
-entries became plain ints (they were Fractions), and of the `verify` report
-on E6 with m = 2.  A change of how entries are represented, or of any
-choice the library makes (bases, generators, node order), shows here even
-where the small inputs' outputs agree.
+entries became plain ints (they were Fractions), of the `verify` report on
+E6 with m = 2, and of the Kronecker complements of three fixed samples,
+recorded while Hom systems were still eliminated as dense matrices.  A
+change of how entries are represented, or of any choice the library makes
+(bases, generators, node order), shows here even where the small inputs'
+outputs agree.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from replhom.cli import main
+from replhom.quiver import ReplicationSpec
+from replhom.tilting import TiltingContext, sample_faithful_exceptional
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,6 +34,11 @@ E6_VERIFY_SHA256 = (
 # table: both gave this report
 E6_M2_VERIFY_SHA256 = (
     "9b6ed0945d62adbaf655bad3be564b035b21535f9fa913e4cf56c1c170045e67")
+
+# to_dict() of the complements of the bound-8 samples 9, 10 and 11 of the
+# Kronecker quiver with m = 1, as one sorted-keys JSON list
+KRONECKER_COMPLEMENTS_SHA256 = (
+    "7fc21b7a05476b9552d6516a56195f0e55a0d12bc5b5854d542ddd1611a8ecc4")
 
 
 def _write(tmp_path, name, vertices, edges):
@@ -53,6 +62,18 @@ def test_ar_quiver_e7_m1_digest(tmp_path, capsys):
     blob = ((out / "ar_quiver.dot").read_bytes()
             + (out / "ar_quiver.json").read_bytes())
     assert hashlib.sha256(blob).hexdigest() == E7_AR_QUIVER_SHA256
+
+
+def test_kronecker_complements_digest(kronecker):
+    """The complement modules, bases included, of the fixed bound-8
+    Kronecker samples 9, 10 and 11 (the benchmark runs them on every
+    seed)."""
+    ctx = TiltingContext(ReplicationSpec(kronecker, 1))
+    samples = sample_faithful_exceptional(ctx, 8, 20)
+    blob = json.dumps([[X.to_dict() for X in ctx.bongartz_complement(
+        samples[i])] for i in (9, 10, 11)], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        KRONECKER_COMPLEMENTS_SHA256
 
 
 # E6 m = 1 verify peaked at 45 MB of RSS once each node step read its

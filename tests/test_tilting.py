@@ -327,7 +327,8 @@ def _node_route_comparisons(spec, arq, asked, work):
     projective-injectives plus two other nodes a, b, and a again, whose
     verdict offers a complement; open says whether the path order leaves
     some pair of its summands open.  The verdict must equal the one the
-    public methods give, with fewer Ext questions and node lookups."""
+    public methods give, with fewer Ext questions, and neither may look a
+    node module up by an isomorphism test."""
     pis = [node.idx for node in arq.nodes if node.is_proj_inj]
     rest = [node.idx for node in arq.nodes if not node.is_proj_inj]
     tctx = TiltingContext(spec, arq=arq)
@@ -342,7 +343,11 @@ def _node_route_comparisons(spec, arq, asked, work):
         if "complement" in got:
             assert got_asked["node_ext_vanishes"] < \
                 public_asked["node_ext_vanishes"]
-            assert got_asked["_lookup"] < public_asked["_lookup"]
+            # a node module is its node by identity (arq.node_id): no
+            # route looks one up by an isomorphism test
+            assert "_lookup" not in public_asked and "_lookup" not in got_asked
+            assert "is_iso_rep" not in public_work \
+                and "is_iso_rep" not in got_work
             # node lists compute no module Ext group: each open pair is
             # read off the mesh category (ARQuiver.ext)
             assert "ext_dim" not in public_work and "ext_dim" not in got_work
@@ -356,12 +361,13 @@ def test_verdict_decides_basic_and_exceptional_once(spec_a2_m1, arq_a2_m1,
                                                     a3, kronecker,
                                                     monkeypatch):
     # the verdict equals the one the public methods give, with fewer Ext
-    # and isomorphism questions on every exceptional candidate of a
-    # complement search; a candidate with a repeated summand stays basic.
-    # Each route runs on a fresh context.  On the node route the
-    # isomorphism questions are counted where the context asks them, the
-    # AR quiver's node lookups; on the module route (Kronecker) the
-    # layered ones are.
+    # questions on every exceptional candidate of a complement search; a
+    # candidate with a repeated summand stays basic.  Each route runs on a
+    # fresh context.  On the node route the isomorphism questions are
+    # counted where the context would ask them, the AR quiver's node
+    # lookups, and the layered ones: a list of node modules asks none on
+    # either route.  On the module route (Kronecker) the verdict asks
+    # fewer layered ones.
     # the Ext questions are counted on node ids (node_ext_vanishes), which
     # is_exceptional asks directly on a list of node modules and
     # ext_vanishes on a pair of them
